@@ -33,7 +33,13 @@
 # divergence is an ordering bug in the shard/merge-frontier layer. The
 # same matrix then re-runs with FBF_DOR_LEGACY_LOOP=1 and is diffed
 # against the default (coalesced) DOR run: the service-cursor fast path
-# must reproduce the seed loop's bytes exactly (DESIGN §14).
+# must reproduce the seed loop's bytes exactly (DESIGN §14). A second
+# legacy diff adds a mid-recovery disk failure, so the escalation and
+# per-stripe replan path is held to the same contract.
+#
+# Once, in the default config, a suite smoke runs the repository
+# benchmark's pinned checks (benchsuite/run.py --smoke): every workload at
+# 1/50 size must reproduce its pinned metrics digest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export FBF_VALIDATE=1
@@ -217,6 +223,47 @@ engine_smoke() {
   }
   "${build_dir}/tools/obs_schema_check" "${out}/dor_shard.json" \
     --compare="${out}/dor_legacy.json"
+  # The same diff with a whole-disk failure landing mid-recovery, so the
+  # escalation path (DiskFail -> respare -> per-stripe replan) is diffed
+  # too; the exported escalation count proves the leg engaged.
+  local fail_flags=(--engine=dor --errors=8 --workers=4 --csv
+    --ure-rates=0,0.001 --straggler-factors=1,4 --fault-disk-fail-at-ms=200)
+  "${build_dir}/bench/bench_ext_fault_sweep" "${fail_flags[@]}" \
+    --metrics-out="${out}/dor_fail.json" >"${out}/dor_fail.csv"
+  FBF_DOR_LEGACY_LOOP=1 "${build_dir}/bench/bench_ext_fault_sweep" \
+    "${fail_flags[@]}" --metrics-out="${out}/dor_fail_legacy.json" \
+    >"${out}/dor_fail_legacy.csv"
+  cmp "${out}/dor_fail.csv" "${out}/dor_fail_legacy.csv" || {
+    echo "coalesced vs legacy DOR loop diverge under a disk failure" >&2
+    exit 1
+  }
+  "${build_dir}/tools/obs_schema_check" "${out}/dor_fail.json" \
+    --compare="${out}/dor_fail_legacy.json"
+  python3 - "${out}/dor_fail.json" <<'EOF'
+import json, sys
+escalated = json.load(open(sys.argv[1]))["counters"].get(
+    "run.fault.escalated_stripes", 0)
+if escalated <= 0:
+    sys.exit("disk-failure leg never escalated a stripe")
+EOF
+}
+
+# Repository-benchmark smoke: benchsuite/run.py builds bench_suite from
+# this checkout and runs every workload once at 1/50 size against its
+# pinned digest. run.py exits non-zero only when every rep failed, so the
+# verdict is read from the JSON on its last stdout line instead.
+suite_smoke() {
+  local out="$1/suite-smoke"
+  rm -rf "$out"
+  local status=0
+  python3 benchsuite/run.py --smoke --out "$out" >"${out}.log" || status=$?
+  if [ "$status" -ne 0 ] || ! tail -n 1 "${out}.log" | python3 -c '
+import json, sys
+sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)'; then
+    cat "${out}.log" >&2
+    echo "benchsuite smoke failed: a workload missed its pinned check" >&2
+    exit 1
+  fi
 }
 
 cmake -B build -S .
@@ -229,6 +276,7 @@ app_smoke build
 write_smoke build
 layout_smoke build
 engine_smoke build
+suite_smoke build
 
 cmake -B build-scalar -S . -DFBF_ENABLE_SIMD=OFF
 cmake --build build-scalar -j

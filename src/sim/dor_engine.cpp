@@ -1258,6 +1258,19 @@ SimMetrics DorEngine::run_fast(
     return geometry_->spare_lba_from(ci.home_disk, ci.lba);
   };
 
+  // Per-stripe id ranges: [first, last) windows into the task or chunk
+  // arena holding only that stripe's records. Ids are minted in ascending
+  // order, so appending one extends the stripe's last window whenever the
+  // stripe minted the id before it too.
+  using IdRanges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  auto append_id = [](IdRanges& ranges, std::uint32_t id) {
+    if (!ranges.empty() && ranges.back().second == id) {
+      ++ranges.back().second;
+    } else {
+      ranges.emplace_back(id, id + 1);
+    }
+  };
+
   // Global key -> dense id map, built LAZILY. Planning dedups chunks with
   // a per-stripe cell table (chains only ever share cells inside their
   // own stripe), and fault-free runs carry every id they need on the task
@@ -1278,6 +1291,18 @@ SimMetrics DorEngine::run_fast(
     }
   };
 
+  // Planning-time chunk registration: a dense cell -> id table for the
+  // stripe in hand (reset on stripe change, L1-resident) replaces the
+  // global hash probe. Revisited stripes — legal in a caller-supplied
+  // trace — replay their previously minted id ranges into the table, so
+  // ids stay identical to what the global map would have returned. The
+  // same ranges, extended by chunk_id_or_new, are the replanner's
+  // per-stripe chunk index.
+  std::vector<std::uint32_t> stripe_ids(
+      static_cast<std::size_t>(layout_->num_cells()), kNoId);
+  std::uint64_t ids_stripe = ~std::uint64_t{0};
+  std::unordered_map<std::uint64_t, IdRanges> stripe_ranges;
+
   /// Dense id for `key`, registering a blank FChunkInfo on first sight.
   /// (stripe, cell) are recovered from the key (chunk_key is a dense
   /// packing) and the home placement is cached on the chunk line, so the
@@ -1295,21 +1320,10 @@ SimMetrics DorEngine::run_fast(
       ci.cell = layout_->cell_at(static_cast<int>(key % cells));
       ci.lba = geometry_->lba_of(ci.stripe, ci.cell);
       ci.home_disk = geometry_->disk_of(ci.stripe, ci.cell);
+      append_id(stripe_ranges[ci.stripe], id);
     }
     return {id, fresh};
   };
-
-  // Planning-time chunk registration: a dense cell -> id table for the
-  // stripe in hand (reset on stripe change, L1-resident) replaces the
-  // global hash probe. Revisited stripes — legal in a caller-supplied
-  // trace — replay their previously minted id ranges into the table, so
-  // ids stay identical to what the global map would have returned.
-  std::vector<std::uint32_t> stripe_ids(
-      static_cast<std::size_t>(layout_->num_cells()), kNoId);
-  std::uint64_t ids_stripe = ~std::uint64_t{0};
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      stripe_ranges;
   auto plan_stripe_begin = [&](std::uint64_t stripe) {
     if (stripe == ids_stripe) {
       return;  // adjacent repeat: table already describes this stripe
@@ -1906,20 +1920,49 @@ SimMetrics DorEngine::run_fast(
     return failed;
   };
 
+  // Per-stripe task index (DESIGN §11, "Replan cost"), built LAZILY like
+  // the key map: fault-free runs never replan, so they never pay for it.
+  // A replan supersedes every live task of its stripe, so it clears the
+  // stripe's ranges and refills them with the tasks it mints; each task is
+  // therefore visited by at most one replan.
+  std::unordered_map<std::uint64_t, IdRanges> task_ranges;
+  bool task_ranges_built = false;
+  auto ensure_task_ranges = [&] {
+    if (task_ranges_built) {
+      return;
+    }
+    task_ranges_built = true;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      append_id(task_ranges[tasks[t].stripe], static_cast<std::uint32_t>(t));
+    }
+    metrics.replan_records_scanned += tasks.size();
+  };
+
   auto replan_stripe = [&](std::uint64_t stripe, double now) {
     ensure_key_map();  // replan registers chunks through the global map
+    ensure_task_ranges();
     flush_installs();  // the contains() probes below read cache state
-    for (FTask& task : tasks) {
-      if (task.stripe == stripe && !task.done) {
-        task.done = true;  // superseded by the new plan
-        ++tasks_done;
+    // Visit order cannot reach the results: superseding is a set
+    // operation, and the outstanding list is sorted before use.
+    IdRanges& live_tasks = task_ranges[stripe];
+    for (const auto& [first, last] : live_tasks) {
+      metrics.replan_records_scanned += last - first;
+      for (std::uint32_t t = first; t < last; ++t) {
+        if (!tasks[t].done) {
+          tasks[t].done = true;  // superseded by the new plan
+          ++tasks_done;
+        }
       }
     }
+    live_tasks.clear();
     std::vector<codes::Cell> outstanding;
-    for (const FChunkInfo& ci : chunks) {
-      if (ci.stripe == stripe && ci.lost && !ci.recovered &&
-          !ci.write_pending) {
-        outstanding.push_back(ci.cell);
+    for (const auto& [first, last] : stripe_ranges[stripe]) {
+      metrics.replan_records_scanned += last - first;
+      for (std::uint32_t id = first; id < last; ++id) {
+        const FChunkInfo& ci = chunks[id];
+        if (ci.lost && !ci.recovered && !ci.write_pending) {
+          outstanding.push_back(ci.cell);
+        }
       }
     }
     std::sort(outstanding.begin(), outstanding.end());
@@ -2004,6 +2047,7 @@ SimMetrics DorEngine::run_fast(
         }
       }
       tasks.push_back(std::move(task));
+      append_id(live_tasks, static_cast<std::uint32_t>(tindex));
     };
     for (const recovery::RecoveryStep& step : fs.scheme.steps) {
       FTask task;

@@ -158,10 +158,14 @@ struct SimMetrics {
 
   // Engine-core instrumentation. Deliberately NOT exported by record_run:
   // the metrics JSON must stay byte-identical across event-queue
-  // implementations. bench_engine reads these directly, and the fault
-  // tests assert event_queue_regrowths == 0 to pin the reservation bounds.
+  // implementations. bench_engine reads these directly, the fault tests
+  // assert event_queue_regrowths == 0 to pin the reservation bounds, and
+  // pin replan_records_scanned to grow linearly with the trace.
   std::uint64_t engine_events = 0;          ///< events popped by the run loop
   std::uint64_t event_queue_regrowths = 0;  ///< pushes past a shard's reserve
+  /// Task and chunk records DOR's fault replanner visited (its per-stripe
+  /// index walks plus the index's one lazy build); 0 on fault-free runs.
+  std::uint64_t replan_records_scanned = 0;
 
   // Per-disk load: busy milliseconds and op counts, index = disk id. The
   // failed column's disk carries all spare writes and is usually the

@@ -362,6 +362,74 @@ TEST(DorCoalescing, MatchesLegacyLoopUnderCombinedStress) {
   expect_metrics_identical(mf, ml, "combined stress");
 }
 
+TEST(DorCoalescing, MatchesLegacyLoopOnFaultDorShape) {
+  // The repository benchmark's fault_dor shape, scaled down: STAR p=7 under
+  // UREs, transients, two 4x stragglers and one whole-disk failure landing
+  // mid-recovery. The failure replans every traced stripe, so this is the
+  // per-stripe replan index's main diff against the legacy loop's
+  // whole-arena scans.
+  const codes::Layout l = codes::make_layout(codes::CodeId::Star, 7);
+  const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto errors = make_trace(l, 200, seed);
+    auto cfg = small_config();
+    cfg.cache_bytes = 32ull << 20;
+    cfg.seed = seed;
+    cfg.faults.ure_rate = 5e-4;
+    cfg.faults.transient_rate = 1e-3;
+    cfg.faults.stragglers = 2;
+    cfg.faults.straggler_factor = 4.0;
+    cfg.faults.disk_failure_times_ms = {2000.0};
+    auto legacy_cfg = cfg;
+    legacy_cfg.legacy_loop = true;
+    DorEngine fast(l, g, cfg);
+    DorEngine legacy(l, g, legacy_cfg);
+    const SimMetrics mf = fast.run(errors);
+    const SimMetrics ml = legacy.run(errors);
+    const std::string context = "fault_dor shape, seed " + std::to_string(seed);
+    // The failure landed mid-recovery and escalated, and UREs replanned.
+    EXPECT_EQ(mf.fault.disk_failures, 1u) << context;
+    EXPECT_GT(mf.fault.escalated_stripes, 0u) << context;
+    EXPECT_GT(mf.fault.respared, 0u) << context;
+    EXPECT_GT(mf.fault.replans, 0u) << context;
+    EXPECT_GT(mf.reconstruction_ms, 2000.0) << context;
+    EXPECT_GT(mf.replan_records_scanned, 0u) << context;
+    expect_metrics_identical(mf, ml, context);
+  }
+}
+
+TEST(DorCoalescing, MatchesLegacyLoopOnNonAdjacentStripeRevisits) {
+  // A caller-supplied trace may name a stripe again after other stripes:
+  // each visit mints that stripe's tasks, and any chunks it has not seen
+  // yet, in a new id range, so a replan has to gather the stripe from
+  // several ranges. Every stripe here is visited four times, so any replan
+  // the URE rate forces lands on a multi-range stripe.
+  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
+  const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
+  std::vector<workload::StripeError> errors;
+  for (int visit = 0; visit < 4; ++visit) {
+    for (std::uint64_t stripe : {11u, 523u, 4099u}) {
+      workload::StripeError e;
+      e.stripe = stripe;
+      e.error.col = 0;
+      e.error.first_row = visit;
+      e.error.num_chunks = 1;
+      errors.push_back(e);
+    }
+  }
+  auto cfg = small_config();
+  cfg.faults.ure_rate = 0.05;
+  cfg.faults.transient_rate = 0.01;
+  auto legacy_cfg = cfg;
+  legacy_cfg.legacy_loop = true;
+  DorEngine fast(l, g, cfg);
+  DorEngine legacy(l, g, legacy_cfg);
+  const SimMetrics mf = fast.run(errors);
+  const SimMetrics ml = legacy.run(errors);
+  EXPECT_GT(mf.fault.replans, 0u);  // some revisited stripe was replanned
+  expect_metrics_identical(mf, ml, "non-adjacent revisits");
+}
+
 TEST(DorCoalescing, VerifyDataChecksEveryRecoveredChunk) {
   // verify_data carries real bytes through the coalesced loop and
   // FBF_CHECKs each recovered chunk against ground truth (single-dispatch

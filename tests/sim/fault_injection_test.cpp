@@ -255,6 +255,38 @@ TEST(FaultEventQueue, ReservationsHoldUnderFaultLoad) {
   EXPECT_EQ(dm.event_queue_regrowths, 0u);
 }
 
+TEST(FaultReplanCost, RecordsScannedGrowLinearlyWithTrace) {
+  // A mid-recovery disk failure replans every traced stripe. Each replan
+  // walks only its own stripe's task and chunk records (DESIGN.md §11,
+  // "Replan cost"), so 4x the errors may cost about 4x the visits; one
+  // scan of the whole task and chunk arenas per replan would cost ~16x.
+  // The counter is deterministic, so this pins the bound with no clock.
+  const codes::Layout l = codes::make_layout(codes::CodeId::Star, 7);
+  const ArrayGeometry g(l, 50000, true, SparePlacement::Distributed);
+  auto records_scanned = [&](int num_errors) {
+    workload::ErrorTraceConfig tc;
+    tc.num_stripes = 50000;
+    tc.num_errors = num_errors;
+    tc.target_col = 0;
+    tc.seed = 5;
+    DorConfig dor;
+    dor.cache_bytes = 8ull << 20;
+    dor.seed = 2024;
+    dor.faults.disk_failure_times_ms = {200.0};
+    DorEngine engine(l, g, dor);
+    const SimMetrics m = engine.run(workload::generate_error_trace(l, tc));
+    EXPECT_EQ(m.fault.disk_failures, 1u);
+    EXPECT_GT(m.fault.respared, 0u);  // spare copies predate the failure
+    EXPECT_EQ(m.fault.escalated_stripes,
+              static_cast<std::uint64_t>(num_errors));
+    return m.replan_records_scanned;
+  };
+  const std::uint64_t small = records_scanned(100);
+  const std::uint64_t large = records_scanned(400);
+  EXPECT_GT(small, 0u);
+  EXPECT_LE(large, 5 * small) << "small " << small << ", large " << large;
+}
+
 INSTANTIATE_TEST_SUITE_P(BothEngines, FaultReplay,
                          ::testing::Values(core::EngineKind::Sor,
                                            core::EngineKind::Dor),
