@@ -9,8 +9,10 @@
 #
 # After each config's tests, a bench smoke run exercises the harness
 # binaries the tests don't link: the cache-ops microbench (one iteration
-# per benchmark — this catches flag/registration breakage, not perf) and
-# a tiny Table-V sweep that drives the full figure pipeline end to end.
+# per benchmark — this catches flag/registration breakage, not perf), the
+# event-core macro bench (bench_engine, one rep — wiring coverage, not
+# perf), and a tiny Table-V sweep that drives the full figure pipeline end
+# to end.
 # An obs smoke run then re-drives that sweep with --metrics-out/--trace-out
 # and feeds the artifacts to tools/obs_schema_check, which enforces the
 # metrics schema, the counter conservation laws, trace-event well-formedness,
@@ -18,24 +20,16 @@
 # Finally a fault smoke runs a tiny URE x straggler matrix through
 # bench_ext_fault_sweep twice per engine and diffs the CSVs: the fault
 # stream is a pure function of the seed, so any byte of divergence is a
-# determinism regression in the injection layer. An app smoke does the
+# determinism regression in the injection layer. A third DOR pair adds a
+# mid-recovery disk failure, so escalation and per-stripe replans are held
+# to the same contract, and its metrics must show an escalated stripe.
+# The DOR loop's exact bytes are pinned by the golden tests
+# (tests/integration/golden_metrics_test.cpp). An app smoke does the
 # same for the online-recovery path (foreground traffic, deadlines, and
-# the recovery throttle on both engines, via bench_app_slo), and a write
+# the recovery throttle on both engines, via bench_app_slo), a write
 # smoke for the partial-stripe write path (parity-update planner plus the
-# dirty write-back cache, via bench_ext_write_sweep).
-#
-# The engine smoke then drives the event-core macro bench (bench_engine,
-# one rep — wiring coverage, not perf) and re-runs the fault matrix with
-# FBF_GLOBAL_EVENT_HEAP=1, which collapses the sharded event queues to a
-# single global heap. Sharded and single-heap runs must produce
-# byte-identical CSVs and identical deterministic metrics documents: the
-# (ts, seq) total order leaves only one correct pop sequence, so any
-# divergence is an ordering bug in the shard/merge-frontier layer. The
-# same matrix then re-runs with FBF_DOR_LEGACY_LOOP=1 and is diffed
-# against the default (coalesced) DOR run: the service-cursor fast path
-# must reproduce the seed loop's bytes exactly (DESIGN §14). A second
-# legacy diff adds a mid-recovery disk failure, so the escalation and
-# per-stripe replan path is held to the same contract.
+# dirty write-back cache, via bench_ext_write_sweep), and a layout smoke
+# for every disk-mapping strategy (via fbfsim, wide pools included).
 #
 # Once, in the default config, a suite smoke runs the repository
 # benchmark's pinned checks (benchsuite/run.py --smoke): every workload at
@@ -48,6 +42,8 @@ bench_smoke() {
   local build_dir="$1"
   "${build_dir}/bench/bench_micro_cache_ops" \
     --benchmark_min_time=0 --benchmark_repetitions=1 >/dev/null
+  "${build_dir}/bench/bench_engine" \
+    --engine=sor,dor --p=5 --errors=64 --workers=8 --reps=1 --csv >/dev/null
   "${build_dir}/bench/bench_table5_summary" \
     --errors=8 --workers=4 --sizes-mb=2,8 --p=5 >/dev/null
 }
@@ -87,6 +83,29 @@ fault_smoke() {
       exit 1
     }
   done
+  # A whole-disk failure landing mid-recovery: DiskFail -> respare ->
+  # per-stripe replan, diffed the same way; the exported escalation count
+  # proves the leg engaged.
+  local fail_flags=(--engine=dor --errors=8 --workers=4 --csv
+    --ure-rates=0,0.001 --straggler-factors=1,4 --fault-disk-fail-at-ms=200)
+  local run
+  for run in 1 2; do
+    "${build_dir}/bench/bench_ext_fault_sweep" "${fail_flags[@]}" \
+      --metrics-out="${out}/dor_fail${run}.json" >"${out}/dor_fail${run}.csv"
+  done
+  cmp "${out}/dor_fail1.csv" "${out}/dor_fail2.csv" || {
+    echo "fault sweep (dor, disk failure) is not deterministic" >&2
+    exit 1
+  }
+  "${build_dir}/tools/obs_schema_check" "${out}/dor_fail1.json" \
+    --compare="${out}/dor_fail2.json"
+  python3 - "${out}/dor_fail1.json" <<'EOF'
+import json, sys
+escalated = json.load(open(sys.argv[1]))["counters"].get(
+    "run.fault.escalated_stripes", 0)
+if escalated <= 0:
+    sys.exit("disk-failure leg never escalated a stripe")
+EOF
 }
 
 # Online-recovery smoke: bench_app_slo drives foreground traffic plus the
@@ -182,72 +201,6 @@ layout_smoke() {
   done
 }
 
-engine_smoke() {
-  local build_dir="$1"
-  local out="${build_dir}/engine-smoke"
-  rm -rf "$out"
-  mkdir -p "$out"
-  "${build_dir}/bench/bench_engine" \
-    --engine=sor,dor --p=5 --errors=64 --workers=8 --reps=1 --csv >/dev/null
-  local engine
-  for engine in sor dor; do
-    "${build_dir}/bench/bench_ext_fault_sweep" \
-      --engine="$engine" --errors=8 --workers=4 --csv \
-      --ure-rates=0,0.001 --straggler-factors=1,4 \
-      --metrics-out="${out}/${engine}_shard.json" \
-      >"${out}/${engine}_shard.csv"
-    FBF_GLOBAL_EVENT_HEAP=1 "${build_dir}/bench/bench_ext_fault_sweep" \
-      --engine="$engine" --errors=8 --workers=4 --csv \
-      --ure-rates=0,0.001 --straggler-factors=1,4 \
-      --metrics-out="${out}/${engine}_global.json" \
-      >"${out}/${engine}_global.csv"
-    cmp "${out}/${engine}_shard.csv" "${out}/${engine}_global.csv" || {
-      echo "sharded vs global event heap diverge (${engine})" >&2
-      exit 1
-    }
-    "${build_dir}/tools/obs_schema_check" "${out}/${engine}_shard.json" \
-      --compare="${out}/${engine}_global.json"
-  done
-  # The DOR coalesced loop (service cursors + batched cache admission) is
-  # byte-identical to the seed's one-event-per-read loop by contract;
-  # FBF_DOR_LEGACY_LOOP=1 selects the legacy loop so the contract stays
-  # checkable end to end (CSV bytes and exported metrics).
-  FBF_DOR_LEGACY_LOOP=1 "${build_dir}/bench/bench_ext_fault_sweep" \
-    --engine=dor --errors=8 --workers=4 --csv \
-    --ure-rates=0,0.001 --straggler-factors=1,4 \
-    --metrics-out="${out}/dor_legacy.json" \
-    >"${out}/dor_legacy.csv"
-  cmp "${out}/dor_shard.csv" "${out}/dor_legacy.csv" || {
-    echo "coalesced vs legacy DOR loop diverge" >&2
-    exit 1
-  }
-  "${build_dir}/tools/obs_schema_check" "${out}/dor_shard.json" \
-    --compare="${out}/dor_legacy.json"
-  # The same diff with a whole-disk failure landing mid-recovery, so the
-  # escalation path (DiskFail -> respare -> per-stripe replan) is diffed
-  # too; the exported escalation count proves the leg engaged.
-  local fail_flags=(--engine=dor --errors=8 --workers=4 --csv
-    --ure-rates=0,0.001 --straggler-factors=1,4 --fault-disk-fail-at-ms=200)
-  "${build_dir}/bench/bench_ext_fault_sweep" "${fail_flags[@]}" \
-    --metrics-out="${out}/dor_fail.json" >"${out}/dor_fail.csv"
-  FBF_DOR_LEGACY_LOOP=1 "${build_dir}/bench/bench_ext_fault_sweep" \
-    "${fail_flags[@]}" --metrics-out="${out}/dor_fail_legacy.json" \
-    >"${out}/dor_fail_legacy.csv"
-  cmp "${out}/dor_fail.csv" "${out}/dor_fail_legacy.csv" || {
-    echo "coalesced vs legacy DOR loop diverge under a disk failure" >&2
-    exit 1
-  }
-  "${build_dir}/tools/obs_schema_check" "${out}/dor_fail.json" \
-    --compare="${out}/dor_fail_legacy.json"
-  python3 - "${out}/dor_fail.json" <<'EOF'
-import json, sys
-escalated = json.load(open(sys.argv[1]))["counters"].get(
-    "run.fault.escalated_stripes", 0)
-if escalated <= 0:
-    sys.exit("disk-failure leg never escalated a stripe")
-EOF
-}
-
 # Repository-benchmark smoke: benchsuite/run.py builds bench_suite from
 # this checkout and runs every workload once at 1/50 size against its
 # pinned digest. run.py exits non-zero only when every rep failed, so the
@@ -275,7 +228,6 @@ fault_smoke build
 app_smoke build
 write_smoke build
 layout_smoke build
-engine_smoke build
 suite_smoke build
 
 cmake -B build-scalar -S . -DFBF_ENABLE_SIMD=OFF
@@ -287,7 +239,6 @@ fault_smoke build-scalar
 app_smoke build-scalar
 write_smoke build-scalar
 layout_smoke build-scalar
-engine_smoke build-scalar
 
 cmake -B build-asan -S . -DFBF_SANITIZE=ON
 cmake --build build-asan -j
@@ -298,4 +249,3 @@ fault_smoke build-asan
 app_smoke build-asan
 write_smoke build-asan
 layout_smoke build-asan
-engine_smoke build-asan

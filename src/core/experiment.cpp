@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/dor_engine.h"
-#include "util/check.h"
 #include "util/table.h"
 
 namespace fbf::core {
@@ -64,8 +63,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   sim::SimMetrics m;
   if (config.engine == EngineKind::Dor) {
-    FBF_CHECK(!config.verify_data,
-              "the DOR engine does not support data verification");
     sim::DorConfig dc;
     dc.scheme = config.scheme;
     dc.policy = config.policy;
@@ -80,6 +77,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     dc.faults = config.faults;
     dc.throttle = config.recovery_throttle;
     dc.write = write_cfg;
+    dc.verify_data = config.verify_data;
     if (config.obs != nullptr) {
       dc.observer = config.obs;
       dc.obs_label = obs_run_label(config);

@@ -19,8 +19,9 @@ namespace fbf::core {
 
 /// Which reconstruction engine drives the run. DOR streams planned reads
 /// per disk through one shared buffer and ignores the SOR-only knobs
-/// (workers, verify_data, memoization, spare-write mode); both engines
-/// serve foreground app traffic through the shared online-recovery layer.
+/// (workers, memoization, spare-write mode); both engines verify data when
+/// asked and serve foreground app traffic through the shared
+/// online-recovery layer.
 enum class EngineKind { Sor, Dor };
 
 struct ExperimentConfig {

@@ -1,7 +1,6 @@
 #include "sim/dor_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
@@ -23,918 +22,18 @@
 
 namespace fbf::sim {
 
-bool forced_dor_legacy_loop() {
-  static const bool forced = [] {
-    const char* v = std::getenv("FBF_DOR_LEGACY_LOOP");
-    return v != nullptr && std::string(v) != "0";
-  }();
-  return forced;
-}
-
-namespace {
-
-/// A chain member reference with its (immutable) dictionary priority
-/// cached, so the consumption loop never re-resolves it through the info
-/// map.
-struct Member {
-  cache::Key key = 0;
-  std::uint8_t priority = 1;
-};
-
-struct ChainTask {
-  std::uint64_t stripe = 0;
-  codes::Cell target;
-  int chain_id = -1;
-  std::uint8_t target_priority = 1;
-  int n_members = 0;
-  std::vector<Member> unconsumed;
-  /// Member keys whose (re-)delivery this task is currently waiting on.
-  /// Every insert site fills an empty list with distinct keys, so a flat
-  /// vector with find + swap-pop removal behaves like the set it replaced.
-  std::vector<cache::Key> awaiting;
-  /// Fault path: a Gauss-fallback task recovers all of these targets in
-  /// one solve (`target` is then unused and `chain_id` is -1).
-  std::vector<codes::Cell> gauss_targets;
-  bool done = false;
-};
-
-constexpr std::uint32_t kNoWaiter = 0xffffffffu;
-
-/// Arena node of a chunk's waiter list (tasks to wake on delivery),
-/// threaded through ChunkInfo::waiters_head/tail in append order.
-struct WaiterLink {
-  std::uint32_t task = 0;
-  std::uint32_t next = kNoWaiter;
-};
-
-struct ChunkInfo {
-  std::uint64_t stripe = 0;
-  codes::Cell cell;
-  std::uint8_t priority = 1;
-  bool lost = false;       ///< damaged chunk: only readable once recovered
-  bool recovered = false;  ///< spare copy exists
-  /// Fault path: a spare write for this chunk is in flight (submitted,
-  /// SpareWriteDone pending) — replans must not re-target it.
-  bool write_pending = false;
-  /// Fault path: disk the live spare copy landed on (injector redirects
-  /// around dead disks); -1 means the geometry's default choice.
-  int spare_disk = -1;
-  /// Intrusive waiter list (indices into the WaiterLink arena).
-  std::uint32_t waiters_head = kNoWaiter;
-  std::uint32_t waiters_tail = kNoWaiter;
-};
-
-struct PlannedRead {
-  cache::Key key = 0;
-  std::uint64_t lba = 0;
-  bool spare = false;  ///< read targets the spare copy, not the original
-};
-
-struct Reader {
-  /// FIFO as a flat vector plus a consume cursor; entries before `head`
-  /// are spent (a run's queue is bounded, so nothing is reclaimed).
-  std::vector<PlannedRead> queue;
-  std::size_t head = 0;
-  bool busy = false;
-  /// Throttled runs: time the deferred head read was requested (its
-  /// ThrottledSubmit event is in flight); feeds the response metrics.
-  double requested_at = 0.0;
-
-  bool idle_empty() const { return head >= queue.size(); }
-};
-
-}  // namespace
-
-DorEngine::DorEngine(const codes::Layout& layout,
-                     const ArrayGeometry& geometry, const DorConfig& config)
-    : layout_(&layout), geometry_(&geometry), config_(config) {
-  FBF_CHECK(config_.chunk_bytes > 0, "chunk size must be positive");
-  // A zero-chunk buffer livelocks DOR: every chain consumption misses and
-  // re-enqueues its reads forever, so the event loop never drains.
-  FBF_CHECK(config_.cache_capacity_chunks() >= 1,
-            "DOR needs a buffer of at least one chunk (cache_bytes >= "
-            "chunk_bytes)");
-}
-
-SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
-                          const std::vector<workload::AppRequest>& app_trace) {
-  FBF_CHECK(!(config_.verify_data && config_.legacy_loop),
-            "verify_data needs the coalesced loop (legacy_loop predates it)");
-  return config_.legacy_loop ? run_legacy(errors, app_trace)
-                             : run_fast(errors, app_trace);
-}
-
-SimMetrics DorEngine::run_legacy(
-    const std::vector<workload::StripeError>& errors,
-    const std::vector<workload::AppRequest>& app_trace) {
-  SimMetrics metrics;
-  obs::Histogram response_hist;
-  obs::Histogram* response_hist_ptr =
-      config_.observer != nullptr ? &response_hist : nullptr;
-
-  std::optional<FaultPlan> fault_plan;
-  std::optional<FaultInjector> injector;
-  if (config_.faults.enabled()) {
-    fault_plan.emplace(config_.faults, config_.seed, config_.obs_label,
-                       geometry_->num_disks());
-    injector.emplace(*fault_plan, metrics.fault);
-  }
-
-  DiskParams dp = config_.disk;
-  dp.chunk_bytes = config_.chunk_bytes;
-  dp.capacity_chunks = geometry_->disk_capacity_chunks();
-  std::vector<Disk> disks;
-  disks.reserve(static_cast<std::size_t>(geometry_->num_disks()));
-  for (int d = 0; d < geometry_->num_disks(); ++d) {
-    DiskParams per_disk = dp;
-    if (fault_plan.has_value()) {
-      per_disk.service_multiplier = fault_plan->service_multiplier(d);
-    }
-    disks.emplace_back(d, per_disk,
-                       config_.seed * 0x9e3779b97f4a7c15ull +
-                           static_cast<std::uint64_t>(d));
-  }
-  const auto cache =
-      cache::make_policy(config_.policy, config_.cache_capacity_chunks());
-
-  // ---- Plan: schemes, chain tasks, per-disk read queues. ----
-  recovery::SchemeCache scheme_cache(*layout_);
-  std::vector<ChainTask> tasks;
-  std::unordered_map<cache::Key, ChunkInfo> info;
-  std::vector<WaiterLink> waiter_links;
-  std::vector<Reader> readers(disks.size());
-  std::optional<obs::PhaseTimer> plan_timer;
-  if (config_.observer != nullptr) {
-    plan_timer.emplace(config_.observer, "dor_plan");
-  }
-
-  // Pre-pass: resolve every stripe's scheme (observing the exact hit/miss
-  // sequence the planning pass used to count) and total the steps and
-  // member references, so every planning container is reserved to its
-  // exact final size before the fill loop touches it.
-  std::vector<std::shared_ptr<const recovery::RecoveryScheme>> schemes;
-  schemes.reserve(errors.size());
-  std::size_t total_steps = 0;
-  std::size_t total_refs = 0;
-  for (const workload::StripeError& err : errors) {
-    const auto before = scheme_cache.misses();
-    schemes.push_back(scheme_cache.get(err.error, config_.scheme));
-    if (scheme_cache.misses() > before) {
-      ++metrics.schemes_generated;
-    } else {
-      ++metrics.scheme_cache_hits;
-    }
-    total_steps += schemes.back()->steps.size();
-    for (const recovery::RecoveryStep& step : schemes.back()->steps) {
-      total_refs += layout_->chain(step.chain_id).cells.size() - 1;
-    }
-  }
-  tasks.reserve(total_steps);
-  info.reserve(total_refs + total_steps);
-  waiter_links.reserve(total_refs);
-
-  /// Appends task `t` to `ci`'s waiter list, preserving append order.
-  auto add_waiter = [&waiter_links](ChunkInfo& ci, std::size_t t) {
-    const auto link = static_cast<std::uint32_t>(waiter_links.size());
-    waiter_links.push_back(WaiterLink{static_cast<std::uint32_t>(t),
-                                      kNoWaiter});
-    if (ci.waiters_head == kNoWaiter) {
-      ci.waiters_head = link;
-    } else {
-      waiter_links[ci.waiters_tail].next = link;
-    }
-    ci.waiters_tail = link;
-  };
-
-  for (std::size_t e = 0; e < errors.size(); ++e) {
-    const workload::StripeError& err = errors[e];
-    const recovery::RecoveryScheme& scheme = *schemes[e];
-    std::vector<bool> lost(static_cast<std::size_t>(layout_->num_cells()),
-                           false);
-    for (const codes::Cell& c : err.error.cells()) {
-      lost[static_cast<std::size_t>(layout_->cell_index(c))] = true;
-    }
-    for (const recovery::RecoveryStep& step : scheme.steps) {
-      ChainTask task;
-      task.stripe = err.stripe;
-      task.target = step.target;
-      task.chain_id = step.chain_id;
-      const auto tidx =
-          static_cast<std::size_t>(layout_->cell_index(step.target));
-      task.target_priority =
-          std::max<std::uint8_t>(scheme.priority[tidx], 1);
-      for (const codes::Cell& c : layout_->chain(step.chain_id).cells) {
-        if (c == step.target) {
-          continue;
-        }
-        const cache::Key key = geometry_->chunk_key(err.stripe, c);
-        const auto cidx = static_cast<std::size_t>(layout_->cell_index(c));
-        auto [it, fresh] = info.try_emplace(key);
-        if (fresh) {
-          it->second.stripe = err.stripe;
-          it->second.cell = c;
-          it->second.priority =
-              std::max<std::uint8_t>(scheme.priority[cidx], 1);
-          it->second.lost = lost[cidx];
-          if (!it->second.lost) {
-            // Planned read from the chunk's home disk.
-            readers[static_cast<std::size_t>(geometry_->disk_of(err.stripe, c))]
-                .queue.push_back(
-                    PlannedRead{key, geometry_->lba_of(err.stripe, c)});
-          }
-        }
-        task.unconsumed.push_back(Member{key, it->second.priority});
-        task.awaiting.push_back(key);
-        ++task.n_members;
-        add_waiter(it->second, tasks.size());
-      }
-      // Register the recovered target so dependent chains can await it.
-      const cache::Key tkey = geometry_->chunk_key(err.stripe, step.target);
-      auto [it, fresh] = info.try_emplace(tkey);
-      if (fresh) {
-        it->second.stripe = err.stripe;
-        it->second.cell = step.target;
-        it->second.priority = task.target_priority;
-        it->second.lost = true;
-      }
-      tasks.push_back(std::move(task));
-    }
-  }
-  for (Reader& r : readers) {  // LBA order: sequential streaming per disk
-    std::sort(r.queue.begin(), r.queue.end(),
-              [](const PlannedRead& a, const PlannedRead& b) {
-                return a.lba < b.lba;
-              });
-    metrics.planned_disk_reads += r.queue.size();
-  }
-  plan_timer.reset();  // planning phase ends here
-
-  // ---- Foreground traffic (shared server, foreground.h). ----
-  // App requests are served synchronously against the analytic disks; the
-  // event loop only schedules arrivals. The app fault stream is a separate
-  // injector over the same plan (own nonce stream, own stats) so app
-  // retries never perturb the rebuild accounting laws. The spare override
-  // reads ChunkInfo::spare_disk, so drained requests land on the disk the
-  // spare write actually hit (injector redirects around dead disks).
-  std::optional<FaultInjector> app_injector;
-  if (fault_plan.has_value() && !app_trace.empty()) {
-    app_injector.emplace(*fault_plan, metrics.app_fault);
-  }
-  ForegroundServer foreground(
-      *layout_, *geometry_, disks, errors, app_trace, metrics,
-      app_injector.has_value() ? &*app_injector : nullptr,
-      [&info](std::uint64_t key) {
-        const auto it = info.find(key);
-        return it != info.end() ? it->second.spare_disk : -1;
-      },
-      config_.write);
-  std::optional<RebuildThrottle> throttle;
-  if (config_.throttle.enabled()) {
-    throttle.emplace(config_.throttle);
-  }
-  // DOR has no per-stripe pass structure, so "stripe repaired" (the drain
-  // trigger for parked requests) is counted explicitly: a stripe is done
-  // when the last of its *traced* losses has a persisted spare copy.
-  // Escalation-synthesized losses are deliberately excluded — the traced
-  // damage is what parked the request, and its spare copies are live once
-  // the count hits zero (re-lost spares re-recover under the same key,
-  // deduplicated via recovered_once).
-  std::unordered_map<std::uint64_t, std::size_t> stripe_outstanding;
-  std::unordered_set<cache::Key> recovered_once;
-  if (!app_trace.empty()) {
-    for (const workload::StripeError& e : errors) {
-      stripe_outstanding[e.stripe] += e.error.cells().size();
-    }
-    recovered_once.reserve(foreground.damaged_keys().size());
-  }
-
-  // ---- Event loop. ----
-  // Two event kinds suffice, so events are a flat POD instead of a
-  // std::function whose captures would hit the heap on every push: a
-  // planned/re-read completing on a disk, and a recovered chunk's spare
-  // write persisting.
-  struct Event {
-    double t;
-    std::uint64_t seq;
-    enum class Kind : std::uint8_t {
-      ReadDone,
-      SpareWriteDone,
-      ReadFailed,  ///< fault path: attempt budget exhausted / URE / dead disk
-      DiskFail,    ///< fault path: whole-disk failure at t (disk = victim)
-      AppArrival,  ///< foreground request arrival (key = trace index)
-      ThrottledSubmit,  ///< throttle grant due: submit the reader's head read
-      FlushTick,   ///< write path: periodic dirty write-back flush
-    } kind;
-    std::uint32_t disk;  ///< ReadDone/ReadFailed reader; SpareWriteDone target
-    cache::Key key;
-    bool operator>(const Event& o) const {
-      return t > o.t || (t == o.t && seq > o.seq);
-    }
-  };
-  // Readers fold onto 16 shards (the busy flag caps each disk at a
-  // single in-flight read, so a shard holds at most ceil(disks/16)
-  // events) plus a bulk shard for spare writes, disk failures, and app
-  // arrivals; the
-  // partition is order-irrelevant (event_queue.h), so the shard count is
-  // purely a tournament-depth dial, sized so the shard map is a single
-  // AND. Faultless runs issue exactly one spare write per planned task,
-  // so the bulk reserve is exact; with faults active, replans mint extra
-  // write events, bounded by the escalation arithmetic plus a slab for
-  // URE/transient re-recoveries. The regrowth counter (asserted zero by
-  // the fault tests) pins these bounds.
-  constexpr std::size_t kReaderShardMask = 15;  // 16 shards
-  constexpr std::size_t kBulkShard = kReaderShardMask + 1;
-  ShardedEventQueue<Event> queue(kBulkShard + 1);
-  const std::size_t bulk_shard = kBulkShard;
-  for (std::size_t d = 0; d < readers.size(); ++d) {
-    queue.reserve(d & kReaderShardMask, 1);
-  }
-  const bool flush_ticks_on =
-      foreground.write_path_active() && config_.write.flush_interval_ms > 0.0;
-  {
-    std::size_t bulk_bound = tasks.size() + app_trace.size();
-    if (fault_plan.has_value()) {
-      const std::size_t failures = fault_plan->disk_failures().size();
-      bulk_bound += failures;  // the DiskFail events themselves
-      // Escalation: each failure re-targets at most one column of every
-      // traced stripe.
-      bulk_bound += failures * errors.size() *
-                    static_cast<std::size_t>(layout_->rows());
-      if (config_.faults.ure_rate > 0.0 ||
-          config_.faults.transient_rate > 0.0) {
-        bulk_bound += 1024;  // replan slab: re-recovered chunks
-      }
-    }
-    if (flush_ticks_on) {
-      bulk_bound += 1;  // at most one flush tick in flight
-    }
-    queue.reserve(bulk_shard, bulk_bound);
-  }
-  std::uint64_t seq = 0;
-  double makespan = 0.0;
-  std::size_t tasks_done = 0;
-  std::vector<Member> missing_scratch;  // reused per completion attempt
-
-  // Second half of kick_reader: consumes the reader's head read and
-  // submits it at `submit_t` (the request time, or a later throttle
-  // grant). Response time counts from `requested`, so the throttle wait is
-  // visible in the rebuild latency metrics.
-  auto submit_planned = [&](std::size_t d, double requested,
-                            double submit_t) {
-    Reader& r = readers[d];
-    const PlannedRead read = r.queue[r.head++];
-    double done;
-    bool ok = true;
-    if (injector.has_value()) {
-      const FaultInjector::ReadOutcome rr = injector->read(
-          disks[d], submit_t, read.lba, read.key, !read.spare);
-      done = rr.done_ms;
-      ok = rr.ok;
-      metrics.disk_reads += static_cast<std::uint64_t>(rr.attempts);
-    } else {
-      done = disks[d].submit_read(submit_t, read.lba);
-      ++metrics.disk_reads;
-    }
-    metrics.response_ms.add(done - requested + config_.cache_access_ms);
-    metrics.response_reservoir.add(done - requested +
-                                   config_.cache_access_ms);
-    if (response_hist_ptr != nullptr) {
-      response_hist_ptr->add(done - requested + config_.cache_access_ms);
-    }
-    if (obs::tracing(config_.observer, obs::TraceLevel::Fine)) {
-      // Simulated ms rendered as trace us; stripe looked up only when the
-      // span is actually emitted (the hash lookup is not free).
-      obs::trace_span(config_.observer, obs::TraceLevel::Fine, obs::kPidDisks,
-                      static_cast<std::uint32_t>(d), "disk_read", "disk",
-                      submit_t * 1000.0, (done - submit_t) * 1000.0, "stripe",
-                      info.at(read.key).stripe);
-    }
-    queue.push(d & kReaderShardMask,
-               Event{done, seq++,
-                     ok ? Event::Kind::ReadDone : Event::Kind::ReadFailed,
-                     static_cast<std::uint32_t>(d), read.key});
-  };
-
-  auto kick_reader = [&](std::size_t d, double now) {
-    Reader& r = readers[d];
-    if (r.busy || r.idle_empty()) {
-      return;
-    }
-    r.busy = true;
-    if (throttle.has_value()) {
-      // kick_reader is only ever invoked at the current event time, which
-      // is non-decreasing as acquire() requires. A grant in the future
-      // defers the actual submission to a ThrottledSubmit event rather
-      // than future-dating it, which would reserve the FCFS disk ahead of
-      // foreground requests arriving in the interim. A reader has at most
-      // one in-flight event (ThrottledSubmit or ReadDone/ReadFailed), so
-      // the shard reserve bounds are unchanged.
-      const double grant = throttle->acquire(now);
-      if (grant > now) {
-        r.requested_at = now;
-        queue.push(d & kReaderShardMask,
-                   Event{grant, seq++, Event::Kind::ThrottledSubmit,
-                         static_cast<std::uint32_t>(d), 0});
-        return;
-      }
-    }
-    submit_planned(d, now, now);
-  };
-
-  auto enqueue_reread = [&](cache::Key key, double now) {
-    const ChunkInfo& ci = info.at(key);
-    const bool spare = ci.lost;  // recovered chunks live in the spare area
-    const auto d = static_cast<std::size_t>(
-        spare ? (ci.spare_disk >= 0
-                     ? ci.spare_disk
-                     : geometry_->spare_disk_of(ci.stripe, ci.cell))
-              : geometry_->disk_of(ci.stripe, ci.cell));
-    const std::uint64_t lba = spare
-                                  ? geometry_->spare_lba_of(ci.stripe, ci.cell)
-                                  : geometry_->lba_of(ci.stripe, ci.cell);
-    readers[d].queue.push_back(PlannedRead{key, lba, spare});
-    kick_reader(d, now);
-  };
-
-  auto attempt_completion = [&](std::size_t t, double now, cache::Key fresh) {
-    ChainTask& task = tasks[t];
-    if (task.done) {
-      return;
-    }
-    // Consume the freshly delivered member first: it is resident this
-    // instant, so every completion wake-up folds at least one member into
-    // the XOR accumulator. Without this ordering the loop can livelock —
-    // with a buffer smaller than the chain, or an insertion-averse policy
-    // (LFU keeps high-frequency keys over fresh freq-1 arrivals), each
-    // miss below re-inserts its key and can evict the fresh member before
-    // its turn, so a round consumes nothing and re-reads the same set
-    // forever.
-    const auto fresh_it = std::find_if(
-        task.unconsumed.begin(), task.unconsumed.end(),
-        [fresh](const Member& m) { return m.key == fresh; });
-    if (fresh_it != task.unconsumed.end()) {
-      std::rotate(task.unconsumed.begin(), fresh_it, fresh_it + 1);
-    }
-    // Consume members still buffered; re-read the evicted ones.
-    missing_scratch.clear();
-    for (const Member& m : task.unconsumed) {
-      if (cache->request(m.key, m.priority)) {
-        continue;  // consumed (folded into the XOR accumulator)
-      }
-      missing_scratch.push_back(m);
-    }
-    metrics.total_chunk_requests += task.unconsumed.size();
-    task.unconsumed.assign(missing_scratch.begin(), missing_scratch.end());
-    if (!task.unconsumed.empty()) {
-      for (const Member& m : task.unconsumed) {
-        task.awaiting.push_back(m.key);
-      }
-      for (const Member& m : task.unconsumed) {
-        enqueue_reread(m.key, now);
-      }
-      return;
-    }
-    task.done = true;
-    ++tasks_done;
-    const double xor_done =
-        now + config_.xor_ms_per_chunk * static_cast<double>(task.n_members);
-    obs::trace_span(config_.observer, obs::TraceLevel::Fine, obs::kPidSim, 0,
-                    "chain_fold", "xor", now * 1000.0, (xor_done - now) * 1000.0,
-                    "stripe", task.stripe);
-    // One write per recovered target (a Gauss task solves several in one
-    // fold). The injector redirects spare writes around dead disks.
-    auto write_target = [&](codes::Cell target) {
-      const auto d = static_cast<std::size_t>(
-          injector.has_value()
-              ? injector->spare_disk(*geometry_, task.stripe, target, xor_done)
-              : geometry_->spare_disk_of(task.stripe, target));
-      if (injector.has_value() && validation_enabled()) {
-        // spare_disk_of is deliberately fault-agnostic; the injector's
-        // rerouting must keep recovery writes off dead disks.
-        FBF_CHECK(!fault_plan->disk_failed(static_cast<int>(d), xor_done),
-                  "spare write routed to a dead disk");
-      }
-      const double write_done = disks[d].submit_write(
-          xor_done, geometry_->spare_lba_of(task.stripe, target));
-      ++metrics.disk_writes;
-      ++metrics.write.spare_writes;
-      ++metrics.chunks_recovered;
-      obs::trace_span(config_.observer, obs::TraceLevel::Phases,
-                      obs::kPidDisks, static_cast<std::uint32_t>(d),
-                      "spare_write", "disk", xor_done * 1000.0,
-                      (write_done - xor_done) * 1000.0, "stripe", task.stripe);
-      makespan = std::max(makespan, write_done);
-      const cache::Key tkey = geometry_->chunk_key(task.stripe, target);
-      info.at(tkey).write_pending = true;
-      queue.push(bulk_shard,
-                 Event{write_done, seq++, Event::Kind::SpareWriteDone,
-                       static_cast<std::uint32_t>(d), tkey});
-    };
-    if (task.gauss_targets.empty()) {
-      write_target(task.target);
-    } else {
-      for (const codes::Cell& target : task.gauss_targets) {
-        write_target(target);
-      }
-    }
-  };
-
-  // Delivery of a chunk (from its home disk, the spare area, or a chain
-  // completion): buffer it and wake exactly the tasks awaiting this key.
-  auto deliver = [&](cache::Key key, double now) {
-    ChunkInfo& ci = info.at(key);
-    cache->install(key, ci.priority);
-    for (std::uint32_t l = ci.waiters_head; l != kNoWaiter;) {
-      // Copy the link before waking the task: a completion may append
-      // waiter links (growing the arena) for a later key.
-      const std::uint32_t t = waiter_links[l].task;
-      l = waiter_links[l].next;
-      ChainTask& task = tasks[t];
-      if (task.done) {
-        continue;
-      }
-      const auto it =
-          std::find(task.awaiting.begin(), task.awaiting.end(), key);
-      if (it == task.awaiting.end()) {
-        continue;
-      }
-      *it = task.awaiting.back();
-      task.awaiting.pop_back();
-      if (task.awaiting.empty()) {
-        attempt_completion(t, now, key);
-      }
-    }
-  };
-
-  // ---- Fault path: re-planning around mid-recovery losses. ----
-  auto failed_disks_at = [&](double now) {
-    std::vector<int> failed;
-    if (fault_plan.has_value()) {
-      for (const DiskFailure& f : fault_plan->disk_failures()) {
-        if (f.at_ms <= now) {
-          failed.push_back(f.disk);
-        }
-      }
-    }
-    return failed;
-  };
-
-  // Re-plans one stripe: abandons its unfinished chains and covers every
-  // still-outstanding loss with a fresh peeling plan plus Gauss fallback.
-  // Throws EscalationError when the lost set exceeds the erasure budget.
-  auto replan_stripe = [&](std::uint64_t stripe, double now) {
-    for (ChainTask& task : tasks) {
-      if (task.stripe == stripe && !task.done) {
-        task.done = true;  // superseded by the new plan
-        ++tasks_done;
-      }
-    }
-    std::vector<codes::Cell> outstanding;
-    for (const auto& [key, ci] : info) {
-      if (ci.stripe == stripe && ci.lost && !ci.recovered &&
-          !ci.write_pending) {
-        outstanding.push_back(ci.cell);
-      }
-    }
-    std::sort(outstanding.begin(), outstanding.end());
-    if (outstanding.empty()) {
-      return;  // every loss has (or is about to have) a live spare copy
-    }
-    if (!codes::erasure_decodable(*layout_, outstanding)) {
-      throw EscalationError(stripe, std::move(outstanding),
-                            failed_disks_at(now));
-    }
-    const recovery::FaultScheme fs =
-        recovery::generate_fault_scheme(*layout_, outstanding);
-    ++metrics.schemes_generated;
-    if (!fs.gauss_cells.empty()) {
-      ++metrics.fault.gauss_fallbacks;
-    }
-    const std::size_t first_new = tasks.size();
-    // Adds one task over `members`: losses still pending recovery are
-    // awaited (their SpareWriteDone wakes us), buffered chunks are left
-    // for consumption time, everything else is fetched — a late planned
-    // read for the accounting laws.
-    auto add_task = [&](ChainTask task,
-                        const std::vector<codes::Cell>& members) {
-      const std::size_t tindex = tasks.size();
-      for (const codes::Cell& c : members) {
-        const cache::Key key = geometry_->chunk_key(stripe, c);
-        const auto cidx = static_cast<std::size_t>(layout_->cell_index(c));
-        auto [it, fresh] = info.try_emplace(key);
-        if (fresh) {
-          it->second.stripe = stripe;
-          it->second.cell = c;
-          it->second.priority =
-              std::max<std::uint8_t>(fs.scheme.priority[cidx], 1);
-        }
-        task.unconsumed.push_back(Member{key, it->second.priority});
-        ++task.n_members;
-        add_waiter(it->second, tindex);
-        const ChunkInfo& ci = it->second;
-        if (ci.lost && !ci.recovered) {
-          task.awaiting.push_back(key);
-        } else if (!cache->contains(key)) {
-          task.awaiting.push_back(key);
-          const bool spare = ci.lost;
-          const auto d = static_cast<std::size_t>(
-              spare ? (ci.spare_disk >= 0
-                           ? ci.spare_disk
-                           : geometry_->spare_disk_of(stripe, c))
-                    : geometry_->disk_of(stripe, c));
-          const std::uint64_t lba = spare
-                                        ? geometry_->spare_lba_of(stripe, c)
-                                        : geometry_->lba_of(stripe, c);
-          readers[d].queue.push_back(PlannedRead{key, lba, spare});
-          ++metrics.planned_disk_reads;
-          kick_reader(d, now);
-        }
-      }
-      auto register_target = [&](codes::Cell target) {
-        const cache::Key tkey = geometry_->chunk_key(stripe, target);
-        const auto tidx =
-            static_cast<std::size_t>(layout_->cell_index(target));
-        auto [it, fresh] = info.try_emplace(tkey);
-        if (fresh) {
-          it->second.stripe = stripe;
-          it->second.cell = target;
-          it->second.priority =
-              std::max<std::uint8_t>(fs.scheme.priority[tidx], 1);
-        }
-        it->second.lost = true;
-      };
-      if (task.gauss_targets.empty()) {
-        register_target(task.target);
-      } else {
-        for (const codes::Cell& t : task.gauss_targets) {
-          register_target(t);
-        }
-      }
-      tasks.push_back(std::move(task));
-    };
-    for (const recovery::RecoveryStep& step : fs.scheme.steps) {
-      ChainTask task;
-      task.stripe = stripe;
-      task.target = step.target;
-      task.chain_id = step.chain_id;
-      const auto tidx =
-          static_cast<std::size_t>(layout_->cell_index(step.target));
-      task.target_priority =
-          std::max<std::uint8_t>(fs.scheme.priority[tidx], 1);
-      std::vector<codes::Cell> members;
-      for (const codes::Cell& c : layout_->chain(step.chain_id).cells) {
-        if (!(c == step.target)) {
-          members.push_back(c);
-        }
-      }
-      add_task(std::move(task), members);
-    }
-    if (!fs.gauss_cells.empty()) {
-      // One multi-target task: the Gauss solve folds the distinct known
-      // members of every involved chain and recovers all its cells.
-      ChainTask task;
-      task.stripe = stripe;
-      task.gauss_targets = fs.gauss_cells;
-      std::vector<bool> is_gauss(
-          static_cast<std::size_t>(layout_->num_cells()), false);
-      for (const codes::Cell& c : fs.gauss_cells) {
-        is_gauss[static_cast<std::size_t>(layout_->cell_index(c))] = true;
-      }
-      std::vector<bool> seen(static_cast<std::size_t>(layout_->num_cells()),
-                             false);
-      std::vector<codes::Cell> members;
-      for (int chain_id : fs.gauss_chains) {
-        for (const codes::Cell& c : layout_->chain(chain_id).cells) {
-          const auto idx = static_cast<std::size_t>(layout_->cell_index(c));
-          if (is_gauss[idx] || seen[idx]) {
-            continue;
-          }
-          seen[idx] = true;
-          members.push_back(c);
-        }
-      }
-      add_task(std::move(task), members);
-    }
-    for (std::size_t t = first_new; t < tasks.size(); ++t) {
-      if (tasks[t].awaiting.empty() && !tasks[t].done) {
-        attempt_completion(t, now,
-                           tasks[t].unconsumed.empty()
-                               ? 0
-                               : tasks[t].unconsumed.front().key);
-      }
-    }
-  };
-
-  // A read hard-failed: the chunk (survivor or spare copy) is unreadable
-  // and its stripe must be re-planned around the loss.
-  auto hard_read_failure = [&](cache::Key key, double now) {
-    ChunkInfo& ci = info.at(key);
-    if (ci.lost && !ci.recovered) {
-      return;  // already pending recovery: a stale queued read drained
-    }
-    ++metrics.fault.replans;
-    ++metrics.fault.extra_lost_chunks;
-    if (ci.lost) {
-      ci.recovered = false;  // spare copy unreadable: recover again
-      ci.spare_disk = -1;
-    } else {
-      ci.lost = true;  // surviving chunk unreadable: joins the lost set
-    }
-    replan_stripe(ci.stripe, now);
-  };
-
-  for (std::size_t d = 0; d < readers.size(); ++d) {
-    kick_reader(d, 0.0);
-  }
-  if (fault_plan.has_value()) {
-    for (const DiskFailure& f : fault_plan->disk_failures()) {
-      queue.push(bulk_shard, Event{f.at_ms, seq++, Event::Kind::DiskFail,
-                                   static_cast<std::uint32_t>(f.disk), 0});
-    }
-  }
-  for (std::size_t i = 0; i < app_trace.size(); ++i) {
-    queue.push(bulk_shard,
-               Event{app_trace[i].arrival_ms, seq++, Event::Kind::AppArrival,
-                     0, static_cast<cache::Key>(i)});
-  }
-  if (flush_ticks_on) {
-    queue.push(bulk_shard, Event{config_.write.flush_interval_ms, seq++,
-                                 Event::Kind::FlushTick, 0, 0});
-  }
-  double last_event_ms = 0.0;
-  while (!queue.empty()) {
-    const Event ev = queue.pop();
-    ++metrics.engine_events;
-    last_event_ms = std::max(last_event_ms, ev.t);
-    if (ev.kind != Event::Kind::DiskFail &&
-        ev.kind != Event::Kind::AppArrival &&
-        ev.kind != Event::Kind::FlushTick) {
-      // A failure, an app arrival, or a flush tick alone does not extend
-      // reconstruction; only the rebuild work it triggers does.
-      makespan = std::max(makespan, ev.t);
-    }
-    switch (ev.kind) {
-      case Event::Kind::ReadDone:
-        deliver(ev.key, ev.t);
-        readers[ev.disk].busy = false;
-        kick_reader(ev.disk, ev.t);
-        break;
-      case Event::Kind::SpareWriteDone: {
-        // The recovered chunk becomes available: buffer it and wake
-        // chains that were waiting on the lost cell.
-        ChunkInfo& ci = info.at(ev.key);
-        ci.write_pending = false;
-        if (fault_plan.has_value() &&
-            fault_plan->disk_failed(static_cast<int>(ev.disk), ev.t)) {
-          // The write was in flight when its target disk died: the copy
-          // never became durable. Recover the chunk again; waiters are
-          // superseded by the replan, so nothing is delivered.
-          ++metrics.fault.respared;
-          ++metrics.fault.extra_lost_chunks;
-          ci.recovered = false;
-          ci.spare_disk = -1;
-          const std::uint64_t stripe = ci.stripe;  // replan may grow info
-          replan_stripe(stripe, ev.t);
-          break;
-        }
-        ci.recovered = true;
-        ci.spare_disk = static_cast<int>(ev.disk);
-        // Copy the stripe before deliver(): a woken completion can replan
-        // and grow `info`, invalidating `ci`.
-        const std::uint64_t stripe = ci.stripe;
-        deliver(ev.key, ev.t);
-        if (!app_trace.empty() &&
-            foreground.damaged_keys().count(ev.key) > 0 &&
-            recovered_once.insert(ev.key).second) {
-          const auto out = stripe_outstanding.find(stripe);
-          if (out != stripe_outstanding.end() && --out->second == 0) {
-            foreground.on_stripe_recovered(stripe, ev.t);
-          }
-        }
-        break;
-      }
-      case Event::Kind::ReadFailed:
-        // Free the reader first: the replan may enqueue onto this disk.
-        readers[ev.disk].busy = false;
-        kick_reader(ev.disk, ev.t);
-        hard_read_failure(ev.key, ev.t);
-        break;
-      case Event::Kind::DiskFail: {
-        ++metrics.fault.disk_failures;
-        const int failed = static_cast<int>(ev.disk);
-        foreground.on_disk_failed(failed, ev.t);
-        // Deterministic spare invalidation (DESIGN.md §11's former gap):
-        // every spare copy on the failed disk dies with it — whatever
-        // column its home was — not just the failed column's cells.
-        // Counter sums commute, so the map's iteration order does not
-        // leak into the metrics; replans run in trace order below.
-        std::unordered_set<std::uint64_t> respare_stripes;
-        for (auto& [key, ci] : info) {
-          if (!ci.recovered ||
-              (ci.spare_disk >= 0
-                   ? ci.spare_disk
-                   : geometry_->spare_disk_of(ci.stripe, ci.cell)) !=
-                  failed) {
-            continue;
-          }
-          ci.recovered = false;  // spare copy died with the disk
-          ci.spare_disk = -1;
-          ++metrics.fault.respared;
-          ++metrics.fault.extra_lost_chunks;
-          respare_stripes.insert(ci.stripe);
-        }
-        // Escalation: every traced stripe with a column on the failed
-        // disk gains that column as fresh losses (minus live spares) and
-        // is re-planned while the erasure budget permits. Stripes touched
-        // only through dead spare copies (no data column on the failed
-        // disk — possible once the pool is wider than a stripe) replan as
-        // an escalation pass too.
-        for (const workload::StripeError& traced : errors) {
-          int col = -1;
-          for (int c = 0; c < layout_->cols(); ++c) {
-            if (geometry_->disk_of(traced.stripe,
-                                   codes::Cell{0, static_cast<std::int16_t>(
-                                                      c)}) == failed) {
-              col = c;
-              break;
-            }
-          }
-          if (col < 0 && respare_stripes.count(traced.stripe) == 0) {
-            continue;  // the failed disk holds nothing of this stripe
-          }
-          ++metrics.fault.escalated_stripes;
-          for (int r = 0; col >= 0 && r < layout_->rows(); ++r) {
-            const codes::Cell cell{static_cast<std::int16_t>(r),
-                                   static_cast<std::int16_t>(col)};
-            const cache::Key key = geometry_->chunk_key(traced.stripe, cell);
-            auto [it, fresh] = info.try_emplace(key);
-            ChunkInfo& ci = it->second;
-            if (fresh) {
-              ci.stripe = traced.stripe;
-              ci.cell = cell;
-              ci.priority = 1;
-            }
-            if (!ci.lost) {
-              ci.lost = true;  // original copy was homed on the dead disk
-              ++metrics.fault.extra_lost_chunks;
-            }
-          }
-          replan_stripe(traced.stripe, ev.t);
-        }
-        break;
-      }
-      case Event::Kind::AppArrival:
-        foreground.on_arrival(static_cast<std::size_t>(ev.key), ev.t);
-        break;
-      case Event::Kind::ThrottledSubmit:
-        submit_planned(ev.disk, readers[ev.disk].requested_at, ev.t);
-        break;
-      case Event::Kind::FlushTick:
-        foreground.on_flush_tick(ev.t);
-        // Re-arm while other events remain; a tick never keeps itself
-        // alive.
-        if (!queue.empty()) {
-          queue.push(bulk_shard,
-                     Event{ev.t + config_.write.flush_interval_ms, seq++,
-                           Event::Kind::FlushTick, 0, 0});
-        }
-        break;
-    }
-  }
-  FBF_CHECK(tasks_done == tasks.size(),
-            "DOR finished with incomplete chains — dependency deadlock");
-  metrics.event_queue_regrowths = queue.regrowths();
-  foreground.finalize(last_event_ms);
-  foreground.assert_drained();
-
-  metrics.reconstruction_ms = makespan;
-  // Escalation passes count like SOR's synthetic stripe entries so the
-  // validation law stripes == errors + escalations holds in both engines.
-  metrics.stripes_recovered =
-      errors.size() + metrics.fault.escalated_stripes;
-  metrics.cache = cache->stats();
-  for (const Disk& d : disks) {
-    metrics.disk_busy_ms.push_back(d.stats().busy_ms);
-    metrics.disk_ops.push_back(d.stats().reads + d.stats().writes);
-  }
-  if (validation_enabled()) {
-    validate_run(metrics, errors);
-  }
-  record_run(config_.observer, config_.obs_label, metrics, response_hist_ptr);
-  return metrics;
-}
-
 // ---------------------------------------------------------------------------
-// Coalesced fast path (DESIGN §14). Byte-identical to run_legacy by
-// construction: it performs the same disk submissions, cache operations,
-// and metric updates in the same order, and only elides heap traffic for
-// events that are provably the next to pop. ci/tier1.sh and the
-// DorCoalescing tests diff the two paths' CSVs and metrics.
+// The run loop (DESIGN §14): per-disk service cursors, dense chunk ids and
+// batched cache admission. It elides heap traffic only for events that are
+// provably the next to pop, so the pop sequence, and with it every metric,
+// is the one a loop pushing and popping every read event would produce.
+// The DorLoop* goldens in tests/integration pin those bytes.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr std::uint32_t kNoId = 0xffffffffu;
+constexpr std::uint32_t kNoWaiter = 0xffffffffu;
 
 /// Growable open-addressing chunk-key → dense-id map. Insert-only (DOR
 /// never forgets a chunk), so probing needs no tombstones; `kNoId` in the
@@ -1038,22 +137,23 @@ class KeyIdMap {
 
 /// Chain member in the shared arena: key + dense chunk id + the member's
 /// fixed position inside its task (the awaiting-bitset bit it owns).
-struct FMember {
+struct Member {
   cache::Key key = 0;
   std::uint32_t id = 0;
   std::uint16_t pos = 0;
   std::uint8_t priority = 1;
 };
 
-/// ChainTask, flattened: members live in a shared arena (the unconsumed
-/// set shrinks in place, so a [mem_off, mem_off+mem_len) window replaces
-/// the per-task vector) and the awaiting set is packed-u64 words in a
+/// One chain (or Gauss solve) recovering a lost chunk. Members live in a
+/// shared arena (the unconsumed set shrinks in place, so a
+/// [mem_off, mem_off+mem_len) window replaces a per-task vector) and the
+/// awaiting set is packed-u64 words in a
 /// shared arena (the SOR Worker::recovered idiom), indexed by member
 /// position, with a live count so "awaiting empty" is one compare. The
 /// whole record fits one cache line and is aligned to it, so a delivery
 /// wake-up — a random probe into a multi-hundred-MB task array — costs
 /// exactly one memory access.
-struct alignas(64) FTask {
+struct alignas(64) ChainTask {
   std::uint64_t stripe = 0;
   /// Awaiting bitset for tasks of <= 64 members — every non-Gauss chain
   /// at practical p. Keeping the word inside the task means a delivery
@@ -1081,11 +181,12 @@ struct alignas(64) FTask {
   std::uint32_t gauss_off = 0;
   std::uint32_t gauss_len = 0;
 };
-static_assert(sizeof(FTask) == 64, "FTask must stay one cache line");
+static_assert(sizeof(ChainTask) == 64, "ChainTask must stay one cache line");
 
-/// Waiter link, extended with the waiting member's position so delivery
-/// clears the awaiting bit in O(1) instead of scanning a key list.
-struct FWaiterLink {
+/// Arena node of a chunk's waiter list (tasks to wake on delivery, in
+/// registration order). It carries the waiting member's position, so a
+/// delivery clears the awaiting bit in O(1).
+struct WaiterLink {
   std::uint32_t task = 0;
   std::uint32_t next = kNoWaiter;
   std::uint16_t member_pos = 0;
@@ -1093,7 +194,7 @@ struct FWaiterLink {
 
 // Aligned so the per-event probe (again a random access into an array
 // far larger than LLC) never straddles two lines.
-struct alignas(64) FChunkInfo {
+struct alignas(64) ChunkInfo {
   cache::Key key = 0;  ///< events and waiters carry ids; the key lives here
   std::uint64_t stripe = 0;
   /// First waiter, stored inline: most chunks serve exactly one chain, so
@@ -1116,35 +217,35 @@ struct alignas(64) FChunkInfo {
   bool lost = false;
   bool recovered = false;
   bool write_pending = false;
-  /// Replaces run_legacy's recovered_once set (app path): first spare
-  /// persistence decrements the stripe's outstanding-loss count.
+  /// App path: the first spare persistence decrements the stripe's
+  /// outstanding-loss count.
   bool recovered_once = false;
 };
-static_assert(sizeof(FChunkInfo) == 64, "FChunkInfo must stay one cache line");
+static_assert(sizeof(ChunkInfo) == 64, "ChunkInfo must stay one cache line");
 
-struct FPlannedRead {
+struct PlannedRead {
   cache::Key key = 0;
   std::uint64_t lba = 0;
   std::uint32_t id = 0;
   bool spare = false;
 };
 
-struct FReader {
-  std::vector<FPlannedRead> queue;
+struct Reader {
+  std::vector<PlannedRead> queue;
   std::size_t head = 0;
   bool busy = false;
   double requested_at = 0.0;
 
   bool idle_empty() const { return head >= queue.size(); }
 
-  /// Pops the head read, reclaiming the consumed prefix: the legacy
-  /// reader never did, so a re-read storm (working set ≫ buffer) grew
-  /// every queue by ~16 B per re-read for the whole run — gigabytes of
-  /// dead prefix at p=17. Amortized O(1): a full drain resets for free,
-  /// and the sliding compaction only runs once the live tail is smaller
-  /// than the spent prefix.
-  FPlannedRead take() {
-    const FPlannedRead read = queue[head++];
+  /// Pops the head read, reclaiming the consumed prefix: without it a
+  /// re-read storm (working set ≫ buffer) grows every queue by ~16 B per
+  /// re-read for the whole run — gigabytes of dead prefix at p=17.
+  /// Amortized O(1): a full drain resets for free, and the sliding
+  /// compaction only runs once the live tail is smaller than the spent
+  /// prefix.
+  PlannedRead take() {
+    const PlannedRead read = queue[head++];
     if (head >= queue.size()) {
       queue.clear();
       head = 0;
@@ -1159,16 +260,26 @@ struct FReader {
 
 /// verify_data mode: ground truth and in-progress bytes for one stripe
 /// (mirrors SOR's Worker::truth/working, same per-stripe seed).
-struct FVerifyState {
+struct VerifyState {
   std::unique_ptr<codes::StripeData> truth;
   std::unique_ptr<codes::StripeData> working;
 };
 
 }  // namespace
 
-SimMetrics DorEngine::run_fast(
-    const std::vector<workload::StripeError>& errors,
-    const std::vector<workload::AppRequest>& app_trace) {
+DorEngine::DorEngine(const codes::Layout& layout,
+                     const ArrayGeometry& geometry, const DorConfig& config)
+    : layout_(&layout), geometry_(&geometry), config_(config) {
+  FBF_CHECK(config_.chunk_bytes > 0, "chunk size must be positive");
+  // A zero-chunk buffer livelocks DOR: every chain consumption misses and
+  // re-enqueues its reads forever, so the event loop never drains.
+  FBF_CHECK(config_.cache_capacity_chunks() >= 1,
+            "DOR needs a buffer of at least one chunk (cache_bytes >= "
+            "chunk_bytes)");
+}
+
+SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
+                          const std::vector<workload::AppRequest>& app_trace) {
   SimMetrics metrics;
   obs::Histogram response_hist;
   obs::Histogram* response_hist_ptr =
@@ -1200,7 +311,6 @@ SimMetrics DorEngine::run_fast(
       cache::make_policy(config_.policy, config_.cache_capacity_chunks());
 
   // ---- Plan: schemes, chain tasks, per-disk read queues. ----
-  // Same pre-pass and fill order as run_legacy; the containers differ.
   // Chunks get dense u32 ids on first sight (KeyIdMap resolves keys), so
   // the hot loop indexes a flat vector instead of hashing into an
   // unordered_map on every event, waiter wake, and re-read.
@@ -1228,13 +338,13 @@ SimMetrics DorEngine::run_fast(
     }
   }
 
-  std::vector<FTask> tasks;
-  std::vector<FChunkInfo> chunks;
-  std::vector<FMember> member_arena;
+  std::vector<ChainTask> tasks;
+  std::vector<ChunkInfo> chunks;
+  std::vector<Member> member_arena;
   std::vector<std::uint64_t> await_arena;
   std::vector<codes::Cell> gauss_arena;
-  std::vector<FWaiterLink> waiter_links;
-  std::vector<FReader> readers(disks.size());
+  std::vector<WaiterLink> waiter_links;
+  std::vector<Reader> readers(disks.size());
   tasks.reserve(total_steps);
   chunks.reserve(total_refs + total_steps);
   member_arena.reserve(total_refs);
@@ -1243,18 +353,18 @@ SimMetrics DorEngine::run_fast(
   // Every event indexes these arenas at a random offset; at sweep scale
   // they span far more 4 KiB pages than the TLB holds, so advise huge
   // pages now, before planning faults them in.
-  util::advise_hugepages(tasks.data(), tasks.capacity() * sizeof(FTask));
+  util::advise_hugepages(tasks.data(), tasks.capacity() * sizeof(ChainTask));
   util::advise_hugepages(chunks.data(),
-                         chunks.capacity() * sizeof(FChunkInfo));
+                         chunks.capacity() * sizeof(ChunkInfo));
   util::advise_hugepages(member_arena.data(),
-                         member_arena.capacity() * sizeof(FMember));
+                         member_arena.capacity() * sizeof(Member));
   util::advise_hugepages(waiter_links.data(),
-                         waiter_links.capacity() * sizeof(FWaiterLink));
+                         waiter_links.capacity() * sizeof(WaiterLink));
 
   // Spare-region LBA from the cached (home_disk, lba) pair:
-  // spare_lba_of(s, c) == spare_lba(info-of(s, c)). FChunkInfo caches both
+  // spare_lba_of(s, c) == spare_lba(info-of(s, c)). ChunkInfo caches both
   // inputs, so no (stripe, cell) -> address recomputation in the hot loop.
-  auto spare_lba = [this](const FChunkInfo& ci) {
+  auto spare_lba = [this](const ChunkInfo& ci) {
     return geometry_->spare_lba_from(ci.home_disk, ci.lba);
   };
 
@@ -1303,7 +413,7 @@ SimMetrics DorEngine::run_fast(
   std::uint64_t ids_stripe = ~std::uint64_t{0};
   std::unordered_map<std::uint64_t, IdRanges> stripe_ranges;
 
-  /// Dense id for `key`, registering a blank FChunkInfo on first sight.
+  /// Dense id for `key`, registering a blank ChunkInfo on first sight.
   /// (stripe, cell) are recovered from the key (chunk_key is a dense
   /// packing) and the home placement is cached on the chunk line, so the
   /// per-round re-read path never re-derives disk or LBA. Fault paths
@@ -1313,7 +423,7 @@ SimMetrics DorEngine::run_fast(
         key_map.find_or_insert(key, static_cast<std::uint32_t>(chunks.size()));
     if (fresh) {
       chunks.emplace_back();
-      FChunkInfo& ci = chunks.back();
+      ChunkInfo& ci = chunks.back();
       ci.key = key;
       const auto cells = static_cast<std::uint64_t>(layout_->num_cells());
       ci.stripe = key / cells;
@@ -1349,7 +459,7 @@ SimMetrics DorEngine::run_fast(
     id = static_cast<std::uint32_t>(chunks.size());
     stripe_ids[cidx] = id;
     chunks.emplace_back();
-    FChunkInfo& ci = chunks.back();
+    ChunkInfo& ci = chunks.back();
     ci.key = geometry_->chunk_key(stripe, c);
     ci.stripe = stripe;
     ci.cell = c;
@@ -1358,7 +468,7 @@ SimMetrics DorEngine::run_fast(
     return {id, true};
   };
 
-  auto add_waiter = [&waiter_links](FChunkInfo& ci, std::size_t t,
+  auto add_waiter = [&waiter_links](ChunkInfo& ci, std::size_t t,
                                     std::uint16_t pos) {
     if (ci.w0_task == kNoWaiter && ci.waiters_head == kNoWaiter) {
       ci.w0_task = static_cast<std::uint32_t>(t);
@@ -1367,7 +477,7 @@ SimMetrics DorEngine::run_fast(
     }
     const auto link = static_cast<std::uint32_t>(waiter_links.size());
     waiter_links.push_back(
-        FWaiterLink{static_cast<std::uint32_t>(t), kNoWaiter, pos});
+        WaiterLink{static_cast<std::uint32_t>(t), kNoWaiter, pos});
     if (ci.waiters_head == kNoWaiter) {
       ci.waiters_head = link;
     } else {
@@ -1377,8 +487,8 @@ SimMetrics DorEngine::run_fast(
   };
 
   /// The awaiting-bitset word owning member position `pos` (see
-  /// FTask::await0 — single-word tasks keep it inline).
-  auto await_word = [&await_arena](FTask& task,
+  /// ChainTask::await0 — single-word tasks keep it inline).
+  auto await_word = [&await_arena](ChainTask& task,
                                    std::uint32_t pos) -> std::uint64_t& {
     return task.await_words <= 1 ? task.await0
                                  : await_arena[task.await_off + (pos >> 6)];
@@ -1387,7 +497,7 @@ SimMetrics DorEngine::run_fast(
   // verify_data: per-stripe truth/working bytes (seeded exactly like
   // SOR's verify mode so the two engines verify the same stripe images).
   const bool verify_on = config_.verify_data;
-  std::unordered_map<std::uint64_t, FVerifyState> verify_states;
+  std::unordered_map<std::uint64_t, VerifyState> verify_states;
   codes::FoldBatch verify_batch;
   struct PendingVerify {
     std::uint64_t stripe;
@@ -1424,7 +534,7 @@ SimMetrics DorEngine::run_fast(
       }
     }
     for (const recovery::RecoveryStep& step : scheme.steps) {
-      FTask task;
+      ChainTask task;
       task.stripe = err.stripe;
       task.target = step.target;
       task.chain_id = static_cast<std::int16_t>(step.chain_id);
@@ -1448,16 +558,16 @@ SimMetrics DorEngine::run_fast(
         const cache::Key key = geometry_->chunk_key(err.stripe, c);
         const auto cidx = static_cast<std::size_t>(layout_->cell_index(c));
         const auto [id, fresh] = plan_chunk(err.stripe, c, cidx);
-        FChunkInfo& ci = chunks[id];
+        ChunkInfo& ci = chunks[id];
         if (fresh) {  // stripe/cell/placement cached by plan_chunk
           ci.priority = std::max<std::uint8_t>(scheme.priority[cidx], 1);
           ci.lost = lost[cidx];
           if (!ci.lost) {
             readers[static_cast<std::size_t>(ci.home_disk)].queue.push_back(
-                FPlannedRead{key, ci.lba, id, false});
+                PlannedRead{key, ci.lba, id, false});
           }
         }
-        member_arena.push_back(FMember{key, id, pos, ci.priority});
+        member_arena.push_back(Member{key, id, pos, ci.priority});
         await_word(task, pos) |= std::uint64_t{1} << (pos & 63);
         add_waiter(ci, tasks.size(), pos);
         ++pos;
@@ -1468,7 +578,7 @@ SimMetrics DorEngine::run_fast(
       const auto [tid, tfresh] = plan_chunk(err.stripe, step.target, tidx);
       task.target_id = tid;
       if (tfresh) {
-        FChunkInfo& ci = chunks[tid];
+        ChunkInfo& ci = chunks[tid];
         ci.priority = task.target_priority;
         ci.lost = true;
       }
@@ -1479,16 +589,16 @@ SimMetrics DorEngine::run_fast(
           {range_start, static_cast<std::uint32_t>(chunks.size())});
     }
   }
-  for (FReader& r : readers) {  // LBA order: sequential streaming per disk
+  for (Reader& r : readers) {  // LBA order: sequential streaming per disk
     std::sort(r.queue.begin(), r.queue.end(),
-              [](const FPlannedRead& a, const FPlannedRead& b) {
+              [](const PlannedRead& a, const PlannedRead& b) {
                 return a.lba < b.lba;
               });
     metrics.planned_disk_reads += r.queue.size();
   }
   plan_timer.reset();  // planning phase ends here
 
-  // ---- Foreground traffic (same wiring as run_legacy). ----
+  // ---- Foreground traffic. ----
   std::optional<FaultInjector> app_injector;
   if (fault_plan.has_value() && !app_trace.empty()) {
     app_injector.emplace(*fault_plan, metrics.app_fault);
@@ -1518,11 +628,11 @@ SimMetrics DorEngine::run_fast(
   }
 
   // ---- Event loop. ----
-  // Same kinds and shard layout as run_legacy; events carry the dense
-  // chunk id instead of the key (AppArrival reuses the id lane for its
-  // trace index). The service-cursor state below is what elides heap
-  // traffic: while a disk's just-submitted read is provably the globally
-  // next event, the loop carries it straight into the next iteration.
+  // Events carry the dense chunk id, not the key (AppArrival reuses the
+  // id lane for its trace index). The service-cursor state below is what
+  // elides heap traffic: while a disk's just-submitted read is provably
+  // the globally next event, the loop carries it straight into the next
+  // iteration.
   struct Event {
     double t;
     std::uint64_t seq;
@@ -1587,8 +697,8 @@ SimMetrics DorEngine::run_fast(
   // timestamp in the queue holds an earlier seq and must pop first) or
   // pushes it with the seq it would have been assigned anyway. Elided
   // events never consume a seq; pushed events keep their relative seq
-  // order, so the pop sequence — and every downstream byte — matches the
-  // legacy loop.
+  // order, so the pop sequence — and every downstream byte — matches a
+  // loop that pushes every event.
   std::int64_t inline_disk = -1;
   bool have_inline = false;
   Event inline_ev{};
@@ -1622,7 +732,7 @@ SimMetrics DorEngine::run_fast(
     }
     verify_batch.flush();
     for (const PendingVerify& pv : pending_verifies) {
-      const FVerifyState& vs = verify_states.at(pv.stripe);
+      const VerifyState& vs = verify_states.at(pv.stripe);
       const auto out = vs.working->chunk(pv.cell);
       const auto expected = vs.truth->chunk(pv.cell);
       FBF_CHECK(std::equal(out.begin(), out.end(), expected.begin()),
@@ -1635,8 +745,8 @@ SimMetrics DorEngine::run_fast(
   /// Queues the XOR fold that rebuilds `task.target` from its chain; the
   /// batch's dependency barriers keep cross-chain order, so one service
   /// run's completions dispatch as a single xor_fold_batch call.
-  auto queue_chain_fold = [&](const FTask& task) {
-    FVerifyState& vs = verify_states.at(task.stripe);
+  auto queue_chain_fold = [&](const ChainTask& task) {
+    VerifyState& vs = verify_states.at(task.stripe);
     const codes::Chain& chain = layout_->chain(task.chain_id);
     fold_srcs.clear();
     for (const codes::Cell& c : chain.cells) {
@@ -1649,9 +759,9 @@ SimMetrics DorEngine::run_fast(
   };
   /// Gauss tasks bypass the fold batch: the solve reads the whole stripe,
   /// so pending folds flush first, then the targets are checked directly.
-  auto verify_gauss_task = [&](const FTask& task) {
+  auto verify_gauss_task = [&](const ChainTask& task) {
     flush_verifies();
-    FVerifyState& vs = verify_states.at(task.stripe);
+    VerifyState& vs = verify_states.at(task.stripe);
     const std::vector<codes::Cell> targets(
         gauss_arena.begin() + task.gauss_off,
         gauss_arena.begin() + task.gauss_off + task.gauss_len);
@@ -1674,11 +784,25 @@ SimMetrics DorEngine::run_fast(
     flush_verifies();
     verify_states.at(stripe).working->erase(cell);
   };
+  /// Fault path: a read settles its outcome at submission, so one in
+  /// flight when its copy died (a disk failure) still delivers the
+  /// chunk's bytes. They equal the truth: an original copy always does,
+  /// and a spare copy was verified when it was recovered.
+  auto verify_mark_read = [&](std::uint32_t id) {
+    const ChunkInfo& ci = chunks[id];
+    if (!ci.lost || ci.recovered) {
+      return;  // the working bytes are already live
+    }
+    flush_verifies();
+    const VerifyState& vs = verify_states.at(ci.stripe);
+    const auto truth = vs.truth->chunk(ci.cell);
+    std::copy(truth.begin(), truth.end(), vs.working->chunk(ci.cell).begin());
+  };
 
   auto submit_planned = [&](std::size_t d, double requested,
                             double submit_t) {
-    FReader& r = readers[d];
-    const FPlannedRead read = r.take();
+    Reader& r = readers[d];
+    const PlannedRead read = r.take();
     double done;
     bool ok = true;
     if (injector.has_value()) {
@@ -1721,7 +845,7 @@ SimMetrics DorEngine::run_fast(
   };
 
   auto kick_reader = [&](std::size_t d, double now) {
-    FReader& r = readers[d];
+    Reader& r = readers[d];
     if (r.busy || r.idle_empty()) {
       return;
     }
@@ -1746,7 +870,7 @@ SimMetrics DorEngine::run_fast(
   };
 
   auto enqueue_reread = [&](std::uint32_t id, double now) {
-    const FChunkInfo& ci = chunks[id];
+    const ChunkInfo& ci = chunks[id];
     const bool spare = ci.lost;  // recovered chunks live in the spare area
     const auto d = static_cast<std::size_t>(
         spare ? (ci.spare_disk >= 0
@@ -1754,18 +878,18 @@ SimMetrics DorEngine::run_fast(
                      : geometry_->spare_disk_of(ci.stripe, ci.cell))
               : ci.home_disk);
     const std::uint64_t lba = spare ? spare_lba(ci) : ci.lba;
-    readers[d].queue.push_back(FPlannedRead{ci.key, lba, id, spare});
+    readers[d].queue.push_back(PlannedRead{ci.key, lba, id, spare});
     kick_reader(d, now);
   };
 
   auto attempt_completion = [&](std::size_t t, double now, cache::Key fresh) {
-    FTask& task = tasks[t];
+    ChainTask& task = tasks[t];
     if (task.done) {
       return;
     }
-    FMember* mem = member_arena.data() + task.mem_off;
+    Member* mem = member_arena.data() + task.mem_off;
     const std::size_t n = task.mem_len;
-    // Fresh-member-first, as in run_legacy (the anti-livelock rotate).
+    // Fresh member first: the anti-livelock rotate (dor_engine.h).
     for (std::size_t i = 0; i < n; ++i) {
       if (mem[i].key == fresh) {
         std::rotate(mem, mem + i, mem + i + 1);
@@ -1781,7 +905,7 @@ SimMetrics DorEngine::run_fast(
       touch_keys[i] = mem[i].key;
       touch_pris[i] = mem[i].priority;
       // Any member the touch below misses is immediately re-read, and
-      // enqueue_reread chases its FChunkInfo — a cold line at storm
+      // enqueue_reread chases its ChunkInfo — a cold line at storm
       // scale. Fetch them all now, hidden behind the batch touch.
       __builtin_prefetch(chunks.data() + mem[i].id);
     }
@@ -1789,8 +913,7 @@ SimMetrics DorEngine::run_fast(
     cache->touch_batch(touch_keys.data(), touch_pris.data(), n,
                        touch_hits.data());
     metrics.total_chunk_requests += n;
-    // Keep the misses, stably, in place (run_legacy's scratch-copy +
-    // assign round-trip collapsed to one compaction pass).
+    // Keep the misses, stably, in place.
     std::size_t out = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (((touch_hits[i >> 6] >> (i & 63)) & 1) == 0) {
@@ -1877,7 +1000,7 @@ SimMetrics DorEngine::run_fast(
     pend_install_keys.push_back(key);
     pend_install_pris.push_back(chunks[id].priority);
     auto wake = [&](std::uint32_t t, std::uint16_t pos) {
-      FTask& task = tasks[t];
+      ChainTask& task = tasks[t];
       if (task.done) {
         return;
       }
@@ -1959,7 +1082,7 @@ SimMetrics DorEngine::run_fast(
     for (const auto& [first, last] : stripe_ranges[stripe]) {
       metrics.replan_records_scanned += last - first;
       for (std::uint32_t id = first; id < last; ++id) {
-        const FChunkInfo& ci = chunks[id];
+        const ChunkInfo& ci = chunks[id];
         if (ci.lost && !ci.recovered && !ci.write_pending) {
           outstanding.push_back(ci.cell);
         }
@@ -1980,7 +1103,8 @@ SimMetrics DorEngine::run_fast(
       ++metrics.fault.gauss_fallbacks;
     }
     const std::size_t first_new = tasks.size();
-    auto add_task = [&](FTask task, const std::vector<codes::Cell>& members) {
+    auto add_task = [&](ChainTask task,
+                        const std::vector<codes::Cell>& members) {
       const std::size_t tindex = tasks.size();
       task.mem_off = static_cast<std::uint32_t>(member_arena.size());
       task.await_words =
@@ -1995,17 +1119,17 @@ SimMetrics DorEngine::run_fast(
         const auto cidx = static_cast<std::size_t>(layout_->cell_index(c));
         const auto [id, fresh] = chunk_id_or_new(key);
         {
-          FChunkInfo& ci = chunks[id];
+          ChunkInfo& ci = chunks[id];
           if (fresh) {
             ci.priority =
                 std::max<std::uint8_t>(fs.scheme.priority[cidx], 1);
           }
           member_arena.push_back(
-              FMember{key, id, static_cast<std::uint16_t>(i), ci.priority});
+              Member{key, id, static_cast<std::uint16_t>(i), ci.priority});
           ++task.n_members;
           add_waiter(ci, tindex, static_cast<std::uint16_t>(i));
         }
-        const FChunkInfo& ci = chunks[id];
+        const ChunkInfo& ci = chunks[id];
         if (ci.lost && !ci.recovered) {
           await_word(task, static_cast<std::uint32_t>(i)) |=
               std::uint64_t{1} << (i & 63);
@@ -2021,7 +1145,7 @@ SimMetrics DorEngine::run_fast(
                            : geometry_->spare_disk_of(stripe, c))
                     : ci.home_disk);
           const std::uint64_t lba = spare ? spare_lba(ci) : ci.lba;
-          readers[d].queue.push_back(FPlannedRead{key, lba, id, spare});
+          readers[d].queue.push_back(PlannedRead{key, lba, id, spare});
           ++metrics.planned_disk_reads;
           kick_reader(d, now);
         }
@@ -2032,7 +1156,7 @@ SimMetrics DorEngine::run_fast(
         const auto tidx =
             static_cast<std::size_t>(layout_->cell_index(target));
         const auto [id, fresh] = chunk_id_or_new(tkey);
-        FChunkInfo& ci = chunks[id];
+        ChunkInfo& ci = chunks[id];
         if (fresh) {
           ci.priority = std::max<std::uint8_t>(fs.scheme.priority[tidx], 1);
         }
@@ -2050,7 +1174,7 @@ SimMetrics DorEngine::run_fast(
       append_id(live_tasks, static_cast<std::uint32_t>(tindex));
     };
     for (const recovery::RecoveryStep& step : fs.scheme.steps) {
-      FTask task;
+      ChainTask task;
       task.stripe = stripe;
       task.target = step.target;
       task.chain_id = static_cast<std::int16_t>(step.chain_id);
@@ -2067,7 +1191,7 @@ SimMetrics DorEngine::run_fast(
       add_task(std::move(task), members);
     }
     if (!fs.gauss_cells.empty()) {
-      FTask task;
+      ChainTask task;
       task.stripe = stripe;
       task.gauss_off = static_cast<std::uint32_t>(gauss_arena.size());
       task.gauss_len = static_cast<std::uint32_t>(fs.gauss_cells.size());
@@ -2104,7 +1228,7 @@ SimMetrics DorEngine::run_fast(
   };
 
   auto hard_read_failure = [&](std::uint32_t id, double now) {
-    FChunkInfo& ci = chunks[id];
+    ChunkInfo& ci = chunks[id];
     if (ci.lost && !ci.recovered) {
       return;  // already pending recovery: a stale queued read drained
     }
@@ -2172,6 +1296,9 @@ SimMetrics DorEngine::run_fast(
     }
     switch (ev.kind) {
       case Event::Kind::ReadDone:
+        if (verify_on) {
+          verify_mark_read(ev.id);
+        }
         deliver(ev.id, ev.t);
         readers[ev.disk].busy = false;
         inline_disk = ev.disk;  // this disk's next submission may elide
@@ -2180,7 +1307,7 @@ SimMetrics DorEngine::run_fast(
         break;
       case Event::Kind::SpareWriteDone: {
         {
-          FChunkInfo& ci = chunks[ev.id];
+          ChunkInfo& ci = chunks[ev.id];
           ci.write_pending = false;
           if (fault_plan.has_value() &&
               fault_plan->disk_failed(static_cast<int>(ev.disk), ev.t)) {
@@ -2203,7 +1330,7 @@ SimMetrics DorEngine::run_fast(
         }
         deliver(ev.id, ev.t);
         if (!app_trace.empty()) {
-          FChunkInfo& ci = chunks[ev.id];  // re-indexed: deliver may move
+          ChunkInfo& ci = chunks[ev.id];  // re-indexed: deliver may move
           if (foreground.damaged_keys().count(ci.key) > 0 &&
               !ci.recovered_once) {
             ci.recovered_once = true;
@@ -2230,7 +1357,7 @@ SimMetrics DorEngine::run_fast(
         // column its home was — not just the failed column's cells. The
         // chunk arena scan is index-ordered, hence deterministic.
         std::unordered_set<std::uint64_t> respare_stripes;
-        for (FChunkInfo& ci : chunks) {
+        for (ChunkInfo& ci : chunks) {
           if (!ci.recovered ||
               (ci.spare_disk >= 0
                    ? ci.spare_disk
@@ -2270,7 +1397,7 @@ SimMetrics DorEngine::run_fast(
             const cache::Key key = geometry_->chunk_key(traced.stripe, cell);
             ensure_key_map();  // chunk registration goes through the map
             const auto [id, fresh] = chunk_id_or_new(key);
-            FChunkInfo& ci = chunks[id];
+            ChunkInfo& ci = chunks[id];
             if (fresh) {
               ci.priority = 1;
             }
@@ -2297,7 +1424,7 @@ SimMetrics DorEngine::run_fast(
       case Event::Kind::FlushTick:
         // Any elided read has been pushed back before a tick can pop (a
         // carried event is always processed first), so the queue.empty()
-        // re-arm check sees the same state as the legacy loop.
+        // re-arm check sees the same state as if every event were pushed.
         foreground.on_flush_tick(ev.t);
         if (!queue.empty()) {
           queue.push(bulk_shard,

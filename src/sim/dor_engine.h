@@ -38,11 +38,6 @@ class RunObserver;
 
 namespace fbf::sim {
 
-/// True when FBF_DOR_LEGACY_LOOP is set (and not "0"): DorConfig then
-/// defaults to the pre-coalescing one-event-per-read loop. Read once and
-/// cached, like FBF_GLOBAL_EVENT_HEAP.
-bool forced_dor_legacy_loop();
-
 struct DorConfig {
   recovery::SchemeKind scheme = recovery::SchemeKind::RoundRobin;
   cache::PolicyId policy = cache::PolicyId::Fbf;
@@ -68,24 +63,14 @@ struct DorConfig {
 
   /// Foreground write path (sim/foreground.h): parity-update planner +
   /// dirty write-back cache. Disabled by default (byte-identical to the
-  /// legacy synchronous-RMW engine). Both loops wire it identically, so
-  /// the legacy/fast byte-identity contract covers the write path too.
+  /// legacy synchronous-RMW engine).
   WritePathConfig write;
-
-  /// Escape hatch: run the pre-coalescing one-event-per-read loop instead
-  /// of the service-cursor fast path. The two paths are byte-identical by
-  /// contract (CI diffs their CSVs and metrics); this exists so the
-  /// contract stays checkable. Defaults from FBF_DOR_LEGACY_LOOP so whole
-  /// binaries can be flipped without recompiling; tests toggle it
-  /// per-config to compare both paths in process.
-  bool legacy_loop = forced_dor_legacy_loop();
 
   /// Carry real chunk bytes through the recovery and byte-verify every
   /// recovered chunk against ground truth (mirrors
   /// ReconstructionConfig::verify_data). Chains completed by one service
   /// run fold through a single xor_fold_batch dispatch; Gauss tasks solve
-  /// via decode_erasures. Fast-path only — the legacy loop predates data
-  /// verification and rejects the combination.
+  /// via decode_erasures.
   bool verify_data = false;
   std::size_t verify_chunk_bytes = 64;
 
@@ -112,22 +97,15 @@ class DorEngine {
   /// data), so the consumption-accounting laws are untouched. A stripe
   /// counts as repaired — releasing its parked requests — when the last of
   /// its traced losses has a persisted spare copy.
+  ///
+  /// The loop (DESIGN §14): per-disk service cursors elide heap traffic
+  /// for reads that are provably next, dense chunk ids replace a hash map,
+  /// completions touch the cache in one batch, and installs batch between
+  /// cache reads.
   SimMetrics run(const std::vector<workload::StripeError>& errors,
                  const std::vector<workload::AppRequest>& app_trace = {});
 
  private:
-  /// The seed's event loop, kept verbatim: one heap pop per chunk read,
-  /// unordered_map chunk lookups, per-chunk cache calls. Reference
-  /// implementation for the byte-identity contract.
-  SimMetrics run_legacy(const std::vector<workload::StripeError>& errors,
-                        const std::vector<workload::AppRequest>& app_trace);
-  /// The coalesced path (DESIGN §14): per-disk service cursors elide heap
-  /// traffic for reads that are provably next, dense chunk ids replace the
-  /// hash map, completions touch the cache in one batch, installs batch
-  /// between cache reads.
-  SimMetrics run_fast(const std::vector<workload::StripeError>& errors,
-                      const std::vector<workload::AppRequest>& app_trace);
-
   const codes::Layout* layout_;
   const ArrayGeometry* geometry_;
   DorConfig config_;

@@ -9,12 +9,9 @@
 // whose push/pop is O(1) and the only log factor is the tournament replay
 // over shard heads — empty shards cost nothing. A bulk shard absorbs the
 // event classes without a per-entity invariant (app arrivals, spare
-// writes, disk failures).
-//
-// Setting FBF_GLOBAL_EVENT_HEAP=1 collapses every shard onto shard 0,
-// which is exactly the single global binary heap the engines used before
-// sharding; CI diffs sharded vs. forced-global outputs byte for byte to
-// prove the merge preserves the total order.
+// writes, disk failures). With one shard the queue is a plain binary heap;
+// the unit tests hold every shard count to the pop order of a reference
+// std::priority_queue.
 #pragma once
 
 #include <cstddef>
@@ -27,22 +24,13 @@
 
 namespace fbf::sim {
 
-/// True when FBF_GLOBAL_EVENT_HEAP is set (and not "0"): every
-/// ShardedEventQueue then runs with a single shard, i.e. one global
-/// binary heap. Read once and cached, like FBF_VALIDATE.
-bool forced_global_event_heap();
-
 /// Min-queue over `Event`s with `operator>` defining a strict total order
 /// (ties broken by a unique sequence number). Not thread-safe.
 template <typename Event>
 class ShardedEventQueue {
  public:
-  explicit ShardedEventQueue(std::size_t shards)
-      : single_(forced_global_event_heap()) {
+  explicit ShardedEventQueue(std::size_t shards) {
     FBF_CHECK(shards >= 1, "event queue needs at least one shard");
-    if (single_) {
-      shards = 1;
-    }
     heaps_.resize(shards);
     reserved_.assign(shards, 0);
     leaves_ = 1;
@@ -56,17 +44,15 @@ class ShardedEventQueue {
   std::size_t num_shards() const { return heaps_.size(); }
 
   /// Grows shard `shard`'s reservation by `n` events. Additive so callers
-  /// can account independent event classes separately; under
-  /// FBF_GLOBAL_EVENT_HEAP all reservations land on shard 0, reproducing
-  /// the global bound.
+  /// can account independent event classes separately.
   void reserve(std::size_t shard, std::size_t n) {
-    const std::size_t s = map(shard);
+    const std::size_t s = checked(shard);
     reserved_[s] += n;
     heaps_[s].reserve(reserved_[s]);
   }
 
   void push(std::size_t shard, const Event& ev) {
-    const std::size_t s = map(shard);
+    const std::size_t s = checked(shard);
     auto& h = heaps_[s];
     if (h.size() == h.capacity()) {
       ++regrowths_;  // reservation breached: vector growth (amortized)
@@ -115,10 +101,7 @@ class ShardedEventQueue {
  private:
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
 
-  std::size_t map(std::size_t shard) const {
-    if (single_) {
-      return 0;
-    }
+  std::size_t checked(std::size_t shard) const {
     FBF_CHECK(shard < heaps_.size(), "event shard out of range");
     return shard;
   }
@@ -157,7 +140,6 @@ class ShardedEventQueue {
     }
   }
 
-  bool single_ = false;
   std::vector<std::vector<Event>> heaps_;
   /// heads_[s] mirrors heaps_[s].front() whenever shard s is non-empty
   /// (leaf == kEmpty otherwise); contiguous so tournament compares never

@@ -2,6 +2,9 @@
 // recovery, workload, cache and simulator together.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "util/check.h"
 
 #include "core/experiment.h"
@@ -45,6 +48,47 @@ TEST(EndToEnd, VerifyDataModeAllCodes) {
           << codes::to_string(id) << " p=" << p;
     }
   }
+}
+
+/// Every deterministic ExperimentResult field (all but the scheme-gen wall
+/// time), rendered so one EXPECT_EQ compares them all.
+std::string deterministic_fields(const ExperimentResult& r) {
+  std::ostringstream out;
+  out.precision(17);
+  out << r.hit_ratio << ' ' << r.cache_hits << ' ' << r.cache_misses << ' '
+      << r.disk_reads << ' ' << r.disk_writes << ' ' << r.avg_response_ms
+      << ' ' << r.p99_response_ms << ' ' << r.reconstruction_ms << ' '
+      << r.schemes_generated << ' ' << r.stripes_recovered << ' '
+      << r.chunks_recovered << ' ' << r.total_chunk_requests << ' '
+      << r.app_avg_response_ms << ' ' << r.app_p99_response_ms << ' '
+      << r.app_p999_response_ms << ' ' << r.app_degraded_reads << ' '
+      << r.app_degraded_writes << ' ' << r.app_served << ' '
+      << r.app_parked_drained << ' ' << r.app_deadline_miss << ' '
+      << r.disks_total << ' ' << r.disks_active << ' ' << r.disk_ops_max
+      << ' ' << r.disk_ops_mean << ' ' << r.write.spare_writes;
+  const sim::FaultStats& f = r.fault;
+  out << " fault " << f.sector_errors << ' ' << f.transient_failures << ' '
+      << f.retries << ' ' << f.dead_disk_reads << ' ' << f.replans << ' '
+      << f.gauss_fallbacks << ' ' << f.disk_failures << ' '
+      << f.escalated_stripes << ' ' << f.extra_lost_chunks << ' '
+      << f.respared << ' ' << f.straggler_disks;
+  return out.str();
+}
+
+TEST(EndToEnd, DorVerifyDataLeavesResultsUnchanged) {
+  // DOR byte-verifies every recovered chunk, through UREs, replans and a
+  // mid-recovery disk failure, without moving any simulated result.
+  auto cfg = small_config();
+  cfg.engine = EngineKind::Dor;
+  cfg.num_errors = 20;
+  cfg.faults.ure_rate = 1e-3;
+  cfg.faults.transient_rate = 1e-3;
+  cfg.faults.disk_failure_times_ms = {200.0};
+  const ExperimentResult plain = run_experiment(cfg);
+  cfg.verify_data = true;  // throws on any wrong reconstruction
+  const ExperimentResult verified = run_experiment(cfg);
+  EXPECT_GT(verified.fault.escalated_stripes, 0u);
+  EXPECT_EQ(deterministic_fields(verified), deterministic_fields(plain));
 }
 
 TEST(EndToEnd, AllPoliciesRunAllSchemes) {

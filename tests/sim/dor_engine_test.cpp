@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "codes/builders.h"
 #include "recovery/scheme.h"
 #include "recovery/scheme_cache.h"
-#include "util/check.h"
 
 namespace fbf::sim {
 namespace {
@@ -260,178 +257,8 @@ TEST(DorEngine, ThrottleSlowsRebuildWithoutLosingWork) {
   EXPECT_EQ(throttled.event_queue_regrowths, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Coalesced-vs-legacy identity (DESIGN §14). DorConfig::legacy_loop selects
-// the seed's one-event-per-read loop; the service-cursor fast path must
-// reproduce its SimMetrics exactly — including engine_events, because
-// elided events still count — under every feature in combination.
-// ---------------------------------------------------------------------------
-
-void expect_metrics_identical(const SimMetrics& fast, const SimMetrics& legacy,
-                              const std::string& context) {
-  EXPECT_EQ(fast.engine_events, legacy.engine_events) << context;
-  EXPECT_EQ(fast.disk_reads, legacy.disk_reads) << context;
-  EXPECT_EQ(fast.disk_writes, legacy.disk_writes) << context;
-  EXPECT_EQ(fast.planned_disk_reads, legacy.planned_disk_reads) << context;
-  EXPECT_EQ(fast.stripes_recovered, legacy.stripes_recovered) << context;
-  EXPECT_EQ(fast.chunks_recovered, legacy.chunks_recovered) << context;
-  EXPECT_EQ(fast.total_chunk_requests, legacy.total_chunk_requests) << context;
-  EXPECT_EQ(fast.cache.hits, legacy.cache.hits) << context;
-  EXPECT_EQ(fast.cache.misses, legacy.cache.misses) << context;
-  EXPECT_EQ(fast.cache.evictions, legacy.cache.evictions) << context;
-  EXPECT_DOUBLE_EQ(fast.reconstruction_ms, legacy.reconstruction_ms)
-      << context;
-  EXPECT_DOUBLE_EQ(fast.response_ms.mean(), legacy.response_ms.mean())
-      << context;
-  EXPECT_DOUBLE_EQ(fast.response_ms.max(), legacy.response_ms.max())
-      << context;
-  EXPECT_EQ(fast.response_ms.count(), legacy.response_ms.count()) << context;
-  EXPECT_EQ(fast.app_requests, legacy.app_requests) << context;
-  EXPECT_EQ(fast.app_served, legacy.app_served) << context;
-  EXPECT_EQ(fast.app_parked_drained, legacy.app_parked_drained) << context;
-  EXPECT_EQ(fast.app_degraded_reads, legacy.app_degraded_reads) << context;
-  EXPECT_EQ(fast.app_degraded_writes, legacy.app_degraded_writes) << context;
-  EXPECT_EQ(fast.app_deadline_miss, legacy.app_deadline_miss) << context;
-  EXPECT_DOUBLE_EQ(fast.app_response_ms.mean(), legacy.app_response_ms.mean())
-      << context;
-  EXPECT_EQ(fast.fault.sector_errors, legacy.fault.sector_errors) << context;
-  EXPECT_EQ(fast.fault.retries, legacy.fault.retries) << context;
-  EXPECT_EQ(fast.fault.replans, legacy.fault.replans) << context;
-  EXPECT_EQ(fast.fault.gauss_fallbacks, legacy.fault.gauss_fallbacks)
-      << context;
-  EXPECT_EQ(fast.fault.disk_failures, legacy.fault.disk_failures) << context;
-  EXPECT_EQ(fast.fault.escalated_stripes, legacy.fault.escalated_stripes)
-      << context;
-  EXPECT_EQ(fast.fault.extra_lost_chunks, legacy.fault.extra_lost_chunks)
-      << context;
-  ASSERT_EQ(fast.disk_busy_ms.size(), legacy.disk_busy_ms.size()) << context;
-  for (std::size_t d = 0; d < fast.disk_busy_ms.size(); ++d) {
-    EXPECT_DOUBLE_EQ(fast.disk_busy_ms[d], legacy.disk_busy_ms[d])
-        << context << " disk " << d;
-    EXPECT_EQ(fast.disk_ops[d], legacy.disk_ops[d]) << context << " disk "
-                                                    << d;
-  }
-}
-
-TEST(DorCoalescing, MatchesLegacyLoopOnPlainRecovery) {
-  for (codes::CodeId id :
-       {codes::CodeId::Tip, codes::CodeId::TripleStar}) {
-    const codes::Layout l = codes::make_layout(id, 7);
-    const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
-    const auto errors = make_trace(l, 40);
-    auto fast_cfg = small_config();
-    fast_cfg.legacy_loop = false;
-    auto legacy_cfg = small_config();
-    legacy_cfg.legacy_loop = true;
-    DorEngine fast(l, g, fast_cfg);
-    DorEngine legacy(l, g, legacy_cfg);
-    expect_metrics_identical(fast.run(errors), legacy.run(errors), l.name());
-  }
-}
-
-TEST(DorCoalescing, MatchesLegacyLoopUnderCombinedStress) {
-  // Everything at once: UREs + transients + stragglers + a mid-recovery
-  // disk failure (escalation and Gauss fallbacks), foreground app traffic
-  // with deadlines, and rebuild throttling. Any event the fast path
-  // elides, reorders, or double-counts diverges here.
-  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
-  const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
-  const auto errors = make_trace(l, 30);
-  workload::AppTraceConfig app_cfg;
-  app_cfg.num_stripes = 10000;
-  app_cfg.num_requests = 300;
-  app_cfg.read_fraction = 0.6;
-  app_cfg.deadline_ms = 30.0;
-  app_cfg.mean_interarrival_ms = 0.4;
-  const auto apps = workload::generate_app_trace(l, app_cfg);
-  auto cfg = small_config();
-  cfg.faults.ure_rate = 0.03;
-  cfg.faults.transient_rate = 0.01;
-  cfg.faults.stragglers = 2;
-  cfg.faults.straggler_factor = 3.0;
-  cfg.faults.disk_failure_times_ms = {200.0};
-  cfg.throttle.rebuild_reads_per_sec = 800.0;
-  auto legacy_cfg = cfg;
-  legacy_cfg.legacy_loop = true;
-  cfg.legacy_loop = false;
-  DorEngine fast(l, g, cfg);
-  DorEngine legacy(l, g, legacy_cfg);
-  const SimMetrics mf = fast.run(errors, apps);
-  const SimMetrics ml = legacy.run(errors, apps);
-  EXPECT_GT(mf.fault.replans, 0u);  // the stress actually engaged
-  expect_metrics_identical(mf, ml, "combined stress");
-}
-
-TEST(DorCoalescing, MatchesLegacyLoopOnFaultDorShape) {
-  // The repository benchmark's fault_dor shape, scaled down: STAR p=7 under
-  // UREs, transients, two 4x stragglers and one whole-disk failure landing
-  // mid-recovery. The failure replans every traced stripe, so this is the
-  // per-stripe replan index's main diff against the legacy loop's
-  // whole-arena scans.
-  const codes::Layout l = codes::make_layout(codes::CodeId::Star, 7);
-  const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto errors = make_trace(l, 200, seed);
-    auto cfg = small_config();
-    cfg.cache_bytes = 32ull << 20;
-    cfg.seed = seed;
-    cfg.faults.ure_rate = 5e-4;
-    cfg.faults.transient_rate = 1e-3;
-    cfg.faults.stragglers = 2;
-    cfg.faults.straggler_factor = 4.0;
-    cfg.faults.disk_failure_times_ms = {2000.0};
-    auto legacy_cfg = cfg;
-    legacy_cfg.legacy_loop = true;
-    DorEngine fast(l, g, cfg);
-    DorEngine legacy(l, g, legacy_cfg);
-    const SimMetrics mf = fast.run(errors);
-    const SimMetrics ml = legacy.run(errors);
-    const std::string context = "fault_dor shape, seed " + std::to_string(seed);
-    // The failure landed mid-recovery and escalated, and UREs replanned.
-    EXPECT_EQ(mf.fault.disk_failures, 1u) << context;
-    EXPECT_GT(mf.fault.escalated_stripes, 0u) << context;
-    EXPECT_GT(mf.fault.respared, 0u) << context;
-    EXPECT_GT(mf.fault.replans, 0u) << context;
-    EXPECT_GT(mf.reconstruction_ms, 2000.0) << context;
-    EXPECT_GT(mf.replan_records_scanned, 0u) << context;
-    expect_metrics_identical(mf, ml, context);
-  }
-}
-
-TEST(DorCoalescing, MatchesLegacyLoopOnNonAdjacentStripeRevisits) {
-  // A caller-supplied trace may name a stripe again after other stripes:
-  // each visit mints that stripe's tasks, and any chunks it has not seen
-  // yet, in a new id range, so a replan has to gather the stripe from
-  // several ranges. Every stripe here is visited four times, so any replan
-  // the URE rate forces lands on a multi-range stripe.
-  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
-  const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
-  std::vector<workload::StripeError> errors;
-  for (int visit = 0; visit < 4; ++visit) {
-    for (std::uint64_t stripe : {11u, 523u, 4099u}) {
-      workload::StripeError e;
-      e.stripe = stripe;
-      e.error.col = 0;
-      e.error.first_row = visit;
-      e.error.num_chunks = 1;
-      errors.push_back(e);
-    }
-  }
-  auto cfg = small_config();
-  cfg.faults.ure_rate = 0.05;
-  cfg.faults.transient_rate = 0.01;
-  auto legacy_cfg = cfg;
-  legacy_cfg.legacy_loop = true;
-  DorEngine fast(l, g, cfg);
-  DorEngine legacy(l, g, legacy_cfg);
-  const SimMetrics mf = fast.run(errors);
-  const SimMetrics ml = legacy.run(errors);
-  EXPECT_GT(mf.fault.replans, 0u);  // some revisited stripe was replanned
-  expect_metrics_identical(mf, ml, "non-adjacent revisits");
-}
-
-TEST(DorCoalescing, VerifyDataChecksEveryRecoveredChunk) {
-  // verify_data carries real bytes through the coalesced loop and
+TEST(DorEngine, VerifyDataChecksEveryRecoveredChunk) {
+  // verify_data carries real bytes through the run loop and
   // FBF_CHECKs each recovered chunk against ground truth (single-dispatch
   // chain folds + Gauss solves). A pass is the assertion.
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 5);
@@ -443,7 +270,7 @@ TEST(DorCoalescing, VerifyDataChecksEveryRecoveredChunk) {
   EXPECT_EQ(m.stripes_recovered, 25u);
 }
 
-TEST(DorCoalescing, VerifyDataCoversFaultReplans) {
+TEST(DorEngine, VerifyDataCoversFaultReplans) {
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 5);
   const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
   auto cfg = small_config();
@@ -456,16 +283,19 @@ TEST(DorCoalescing, VerifyDataCoversFaultReplans) {
   EXPECT_GT(m.fault.replans, 0u);
 }
 
-TEST(DorCoalescing, VerifyDataRejectsLegacyLoop) {
-  // The legacy loop predates data verification; the combination is a
-  // configuration error, not a silent fallback.
-  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 5);
+TEST(DorEngine, VerifyDataCoversDiskFailure) {
+  // A whole-disk failure mid-recovery: reads already in flight to the
+  // failed disk still complete, and their chunks feed the escalation
+  // replan's chains, so the verified bytes must follow them.
+  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
   const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
   auto cfg = small_config();
   cfg.verify_data = true;
-  cfg.legacy_loop = true;
+  cfg.faults.disk_failure_times_ms = {200.0};
   DorEngine engine(l, g, cfg);
-  EXPECT_THROW(engine.run(make_trace(l, 2)), util::CheckError);
+  const SimMetrics m = engine.run(make_trace(l, 30));
+  EXPECT_EQ(m.fault.disk_failures, 1u);
+  EXPECT_GT(m.fault.escalated_stripes, 0u);
 }
 
 TEST(DorEngine, EmptyTraceIsNoop) {

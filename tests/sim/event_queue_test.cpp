@@ -217,11 +217,5 @@ TEST(ShardedEventQueue, PeekAtEmptyIsChecked) {
   EXPECT_THROW(q.peek(), util::CheckError);  // drained queue too
 }
 
-TEST(ForcedGlobalEventHeap, DefaultsToOff) {
-  // The CI byte-identity check flips FBF_GLOBAL_EVENT_HEAP in a separate
-  // process; in-process the knob must read as off so the engines shard.
-  EXPECT_FALSE(forced_global_event_heap());
-}
-
 }  // namespace
 }  // namespace fbf::sim

@@ -2,16 +2,14 @@
 // parity-update planner serves degraded writes inline instead of parking
 // them, the dirty write-back cache flushes on eviction, on the periodic
 // tick, and at termination, and the new accounting obeys its conservation
-// laws under faults and throttling. The DOR legacy/fast byte-identity
-// contract is re-checked with the write path enabled, since both loops
-// wire the flush ticks independently.
+// laws under faults and throttling. tests/integration pins the DOR write
+// path's bytes in golden files.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "codes/builders.h"
-#include "obs/observer.h"
 #include "sim/dor_engine.h"
 #include "sim/reconstruction.h"
 #include "sim/validate.h"
@@ -125,28 +123,18 @@ TEST(WritePath, SorServesWritesThroughPlannerAndFlushes) {
 }
 
 TEST(WritePath, DorBothLoopsServeWritesAndAgree) {
-  // The legacy/fast byte-identity contract must survive the write path:
-  // both loops arm the same flush ticks and drain the same write-backs.
+  // DOR arms flush ticks and drains write-backs between its reads; the
+  // golden GoldenMetrics.DorLoopWritePath pins this run's bytes.
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
   const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
-  const auto errors = make_trace(l, 20, -1);
-  const auto apps = make_apps(l, 300, 0.5, 0.3);
-  std::string json[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    obs::RunObserver observer;
-    auto cfg = dor_config();
-    cfg.write = write_on();
-    cfg.legacy_loop = pass == 1;
-    cfg.observer = &observer;
-    DorEngine engine(l, g, cfg);
-    const SimMetrics m = engine.run(errors, apps);
-    EXPECT_GT(m.write.write_backs, 0u);
-    EXPECT_GT(m.write.flush_ticks, 0u);
-    expect_write_laws(m, pass == 1 ? "dor legacy" : "dor fast");
-    json[pass] = observer.metrics_json(/*include_wall=*/false);
-  }
-  EXPECT_EQ(json[0], json[1])
-      << "fast and legacy DOR loops diverged with the write path enabled";
+  auto cfg = dor_config();
+  cfg.write = write_on();
+  DorEngine engine(l, g, cfg);
+  const SimMetrics m =
+      engine.run(make_trace(l, 20, -1), make_apps(l, 300, 0.5, 0.3));
+  EXPECT_GT(m.write.write_backs, 0u);
+  EXPECT_GT(m.write.flush_ticks, 0u);
+  expect_write_laws(m, "dor");
 }
 
 TEST(WritePath, DamagedParityWriteIsServedInlineNotParked) {
@@ -234,20 +222,15 @@ TEST(WritePath, DiskFailureLosesDirtyLinesBoundForIt) {
   // lines stay dirty long enough for the failure to catch them.
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
   const ArrayGeometry g(l, 10000, true, SparePlacement::Distributed);
-  for (const bool legacy_loop : {false, true}) {
-    auto cfg = dor_config();
-    cfg.write = write_on(/*chunks=*/256, /*flush_ms=*/0.0);
-    cfg.faults.disk_failure_times_ms = {60.0};
-    cfg.legacy_loop = legacy_loop;
-    DorEngine engine(l, g, cfg);
-    const SimMetrics m =
-        engine.run(make_trace(l, 20, 0), make_apps(l, 400, 0.3));
-    const std::string context =
-        legacy_loop ? "disk failure (legacy)" : "disk failure (fast)";
-    EXPECT_GT(m.write.lost_dirty, 0u) << context;
-    EXPECT_GT(m.write.flushed, 0u) << context;
-    expect_write_laws(m, context);
-  }
+  auto cfg = dor_config();
+  cfg.write = write_on(/*chunks=*/256, /*flush_ms=*/0.0);
+  cfg.faults.disk_failure_times_ms = {60.0};
+  DorEngine engine(l, g, cfg);
+  const SimMetrics m =
+      engine.run(make_trace(l, 20, 0), make_apps(l, 400, 0.3));
+  EXPECT_GT(m.write.lost_dirty, 0u);
+  EXPECT_GT(m.write.flushed, 0u);
+  expect_write_laws(m, "disk failure");
 }
 
 TEST(WritePath, LawsHoldUnderCombinedFaultAndThrottleStress) {
