@@ -36,6 +36,10 @@
 //   --fault-*     deterministic fault injection; see core/fault_flags.h
 //                 (all off by default). A fault load beyond the 3DFT
 //                 erasure budget exits 2 with the escalation diagnostic.
+//
+// Any other rejected input (a malformed flag value, an unsupported p, an
+// inconsistent fault plan) exits 1 after one "fbfsim: <message>" line on
+// stderr.
 #include <iostream>
 #include <memory>
 
@@ -48,7 +52,9 @@
 #include "util/flags.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace fbf;
   const util::Flags flags(argc, argv);
   std::vector<std::string_view> known{
@@ -227,4 +233,15 @@ int main(int argc, char** argv) {
     observer->write_outputs();
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const fbf::util::CheckError& e) {
+    std::cerr << "fbfsim: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -44,11 +44,28 @@ std::span<const std::byte> StripeData::chunk(Cell c) const {
   return {bytes_.data() + idx * stride_, chunk_size_};
 }
 
-void StripeData::fill_random(util::Rng& rng) {
+void StripeData::fill_random(std::uint64_t seed) {
+  std::uint64_t state = seed;
+  const auto next = [&state] {  // one SplitMix64 step
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
   for (int i = 0; i < layout_->num_cells(); ++i) {
     const Cell c = layout_->cell_at(i);
-    if (layout_->kind(c) == CellKind::Data) {
-      rng.fill_bytes(chunk(c));
+    if (layout_->kind(c) != CellKind::Data) {
+      continue;
+    }
+    std::byte* out = chunk(c).data();
+    std::size_t b = 0;
+    for (; b + 8 <= chunk_size_; b += 8) {
+      const std::uint64_t word = next();
+      std::memcpy(out + b, &word, 8);
+    }
+    if (b < chunk_size_) {
+      const std::uint64_t word = next();
+      std::memcpy(out + b, &word, chunk_size_ - b);
     }
   }
 }
@@ -62,16 +79,12 @@ void encode(StripeData& stripe) {
   const Layout& layout = stripe.layout();
   SrcList srcs;
   // encode_order is a dependency order (adjuster parities feed later
-  // chains); FoldBatch turns every maximal run of independent chains into
-  // one xor_fold_batch dispatch and barriers exactly where a parity is
-  // consumed downstream.
-  FoldBatch batch;
+  // chains), so folding each chain as it comes reads only final sources.
   for (int id : layout.encode_order()) {
     const Chain& ch = layout.chain(id);
     collect_chain(stripe, ch, ch.parity_cell, srcs);
-    batch.add(stripe.chunk(ch.parity_cell), srcs);
+    xor_fold(stripe.chunk(ch.parity_cell), srcs);
   }
-  batch.flush();
 }
 
 bool verify(const StripeData& stripe) {
@@ -174,17 +187,14 @@ DecodeResult decode_erasures(StripeData& stripe,
   std::vector<Cell> unknown_cells;
   if (method == DecodeMethod::PeelThenGauss) {
     const PeelPlan plan = plan_peeling(layout, erased);
-    // Peeling steps form waves: a step depends on an earlier one only when
-    // its chain consumes that step's target, which is exactly where the
-    // batch barriers.
-    FoldBatch batch;
+    // Plan order is a dependency order: a step's chain only consumes
+    // targets of earlier steps.
     for (const PeelPlan::Step& step : plan.steps) {
       const Chain& ch = layout.chain(step.chain_id);
       collect_chain(stripe, ch, step.target, srcs);
-      batch.add(stripe.chunk(step.target), srcs);
+      xor_fold(stripe.chunk(step.target), srcs);
       ++result.peeled;
     }
-    batch.flush();
     unknown_cells = plan.gauss_cells;
   } else {
     unknown_cells = erased;
@@ -207,11 +217,8 @@ DecodeResult decode_erasures(StripeData& stripe,
         layout.cell_index(unknown_cells[i]))] = static_cast<int>(i);
   }
 
-  // Every equation's rhs folds known stripe chunks into its own buffer —
-  // mutually independent, so the whole set is one batched dispatch (the
-  // moved-from rhs buffers stay pinned while the batch is pending).
+  // Every equation's rhs folds the chain's known stripe chunks.
   std::vector<Equation> eqs;
-  FoldBatch rhs_batch;
   for (const Chain& ch : layout.chains()) {
     const bool involved = std::any_of(
         ch.cells.begin(), ch.cells.end(), [&](const Cell& c) {
@@ -234,10 +241,9 @@ DecodeResult decode_erasures(StripeData& stripe,
       }
     }
     std::sort(eq.unknowns.begin(), eq.unknowns.end());
+    xor_fold(eq.rhs, srcs);
     eqs.push_back(std::move(eq));
-    rhs_batch.add(eqs.back().rhs, srcs);
   }
-  rhs_batch.flush();
 
   // Forward elimination with partial "pivot by unknown id".
   const int n_unknowns = static_cast<int>(unknown_cells.size());

@@ -1,14 +1,16 @@
 // Chunk-level encode / verify / erasure-decode for any Layout.
 //
 // Encoding walks Layout::encode_order() and folds each chain into its parity
-// cell with the dispatched XOR kernels (codes/xor_kernels.h). Decoding is
-// two-phase: peeling (repeatedly solve chains with a single erased member —
-// the path real recovery schemes use), then a generic GF(2) Gaussian pass
-// over the remaining unknowns. mds3_check is the symbolic oracle used by
-// tests to prove triple-erasure tolerance.
+// cell with the dispatched XOR kernels (codes/xor_kernels.h), one fold per
+// chain in program order. Decoding is two-phase: peeling (repeatedly solve
+// chains with a single erased member — the path real recovery schemes use),
+// then a generic GF(2) Gaussian pass over the remaining unknowns.
+// mds3_check is the symbolic oracle used by tests to prove triple-erasure
+// tolerance.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,8 +37,14 @@ class StripeData {
   std::span<std::byte> chunk(Cell c);
   std::span<const std::byte> chunk(Cell c) const;
 
-  /// Fills every data cell with random bytes (parity cells untouched).
-  void fill_random(util::Rng& rng);
+  /// Fills every data cell from one SplitMix64 stream started at `seed`,
+  /// a word at a time in cell-index order (a chunk's sub-word tail takes
+  /// the low-order bytes of one more word, in host byte order). Parity
+  /// cells are untouched. The bytes are a pure function of (layout, chunk
+  /// size, seed), so a stripe's truth image is rebuilt from its seed alone.
+  void fill_random(std::uint64_t seed);
+  /// Same, seeded with one draw from `rng`.
+  void fill_random(util::Rng& rng) { fill_random(rng.next_u64()); }
 
   /// Zeroes one chunk (models losing it).
   void erase(Cell c);

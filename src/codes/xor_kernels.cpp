@@ -6,7 +6,6 @@
 
 #include "codes/xor_kernels_internal.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace fbf::codes {
 
@@ -205,92 +204,6 @@ void xor_fold(std::span<std::byte> dst,
 void xor_fold_into(std::span<std::byte> dst,
                    std::span<const std::span<const std::byte>> srcs) {
   fold_dispatch(dst, srcs, true);
-}
-
-void xor_fold_batch(std::span<const FoldJob> jobs, util::ThreadPool* pool) {
-  if (jobs.empty()) {
-    return;
-  }
-  // One dispatch decision for the whole batch.
-  const detail::FoldFn fold = detail::active_variant().fold;
-  if (pool != nullptr && jobs.size() > 1) {
-    // Splitting across the pool only pays for real byte volume; tiny
-    // batches would spend more on queue traffic than on XOR.
-    constexpr std::size_t kParallelBytes = std::size_t{1} << 20;
-    std::size_t touched = 0;
-    for (const FoldJob& j : jobs) {
-      touched += j.size * (j.nsrcs + 1);
-    }
-    if (touched >= kParallelBytes) {
-      util::parallel_for(*pool, jobs.size(), [&jobs, fold](std::size_t i) {
-        const FoldJob& j = jobs[i];
-        fold(j.dst, j.srcs, j.nsrcs, j.size, j.accumulate);
-      });
-      return;
-    }
-  }
-  for (const FoldJob& j : jobs) {
-    fold(j.dst, j.srcs, j.nsrcs, j.size, j.accumulate);
-  }
-}
-
-bool FoldBatch::conflicts(
-    const std::byte* dst, std::size_t size,
-    std::span<const std::span<const std::byte>> srcs) const {
-  const auto overlap = [](const std::byte* a, std::size_t an,
-                          const std::byte* b, std::size_t bn) {
-    return a < b + bn && b < a + an;
-  };
-  for (const Pending& p : jobs_) {
-    // New write or read over a pending write (WAW/RAW)?
-    if (overlap(dst, size, p.dst, p.size)) {
-      return true;
-    }
-    for (std::size_t s = 0; s < srcs.size(); ++s) {
-      if (overlap(srcs[s].data(), srcs[s].size(), p.dst, p.size)) {
-        return true;
-      }
-    }
-    // New write over a pending read (WAR): the wave may run in any order.
-    for (std::size_t s = 0; s < p.nsrcs; ++s) {
-      if (overlap(dst, size, src_pool_[p.src_begin + s], p.size)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void FoldBatch::add(std::span<std::byte> dst,
-                    std::span<const std::span<const std::byte>> srcs,
-                    bool accumulate) {
-  for (const auto& s : srcs) {
-    FBF_CHECK(s.size() == dst.size(), "xor_fold size mismatch");
-  }
-  if (!jobs_.empty() && conflicts(dst.data(), dst.size(), srcs)) {
-    flush();
-  }
-  const std::size_t src_begin = src_pool_.size();
-  for (const auto& s : srcs) {
-    src_pool_.push_back(s.data());
-  }
-  jobs_.push_back(
-      Pending{dst.data(), dst.size(), src_begin, srcs.size(), accumulate});
-}
-
-void FoldBatch::flush() {
-  if (jobs_.empty()) {
-    return;
-  }
-  dispatch_scratch_.clear();
-  dispatch_scratch_.reserve(jobs_.size());
-  for (const Pending& p : jobs_) {
-    dispatch_scratch_.push_back(FoldJob{p.dst, src_pool_.data() + p.src_begin,
-                                        p.nsrcs, p.size, p.accumulate});
-  }
-  xor_fold_batch(dispatch_scratch_, pool_);
-  jobs_.clear();
-  src_pool_.clear();
 }
 
 }  // namespace fbf::codes

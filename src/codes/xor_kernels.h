@@ -18,10 +18,6 @@
 #include <string_view>
 #include <vector>
 
-namespace fbf::util {
-class ThreadPool;
-}  // namespace fbf::util
-
 namespace fbf::codes {
 
 enum class XorKernel { Scalar, Avx2, Avx512, Neon };
@@ -54,66 +50,19 @@ void xor_fold(std::span<std::byte> dst,
 void xor_fold_into(std::span<std::byte> dst,
                    std::span<const std::span<const std::byte>> srcs);
 
-/// One fold of a batch: dst = (accumulate ? dst : 0) ^ srcs[0] ^ ... over
-/// `size` bytes. The source pointer array must stay valid through the
-/// xor_fold_batch call.
-struct FoldJob {
-  std::byte* dst = nullptr;
-  const std::byte* const* srcs = nullptr;
-  std::size_t nsrcs = 0;
-  std::size_t size = 0;
-  bool accumulate = false;
-};
-
-/// Folds every job with one kernel-dispatch decision instead of one per
-/// chain. Jobs must be mutually independent (no job's sources or
-/// destination overlap another's destination); given that, the result is
-/// bit-identical to folding them one at a time with xor_fold in any order
-/// — which is what lets large batches split across `pool` via
-/// parallel_for. Small batches run serially even with a pool.
-void xor_fold_batch(std::span<const FoldJob> jobs,
-                    util::ThreadPool* pool = nullptr);
-
-/// Accumulates fold jobs and dispatches them in dependency waves: adding a
-/// job whose destination or sources overlap a pending job's destination
-/// (or whose destination overlaps a pending job's sources) first flushes
-/// the pending wave. Callers stream chains in program order — codec
-/// encode/peel order, the SOR engine's verify order — and every maximal
-/// run of independent chains goes through xor_fold_batch as one call.
-class FoldBatch {
- public:
-  explicit FoldBatch(util::ThreadPool* pool = nullptr) : pool_(pool) {}
-  FoldBatch(const FoldBatch&) = delete;
-  FoldBatch& operator=(const FoldBatch&) = delete;
-  ~FoldBatch() { flush(); }
-
-  /// Queues dst = fold(srcs) (or dst ^= fold(srcs) when `accumulate`).
-  /// Every source must have dst's size. May flush pending jobs first to
-  /// preserve dependency order.
+/// Eager fold adapter: add() folds at once, so folds land in program
+/// order. Kept because the benchmark suite's codes replay still names it;
+/// new code calls xor_fold or xor_fold_into directly.
+struct FoldBatch {
   void add(std::span<std::byte> dst,
            std::span<const std::span<const std::byte>> srcs,
-           bool accumulate = false);
-
-  /// Dispatches all pending jobs through xor_fold_batch.
-  void flush();
-
-  std::size_t pending() const { return jobs_.size(); }
-
- private:
-  struct Pending {
-    std::byte* dst;
-    std::size_t size;
-    std::size_t src_begin;  ///< index into src_pool_
-    std::size_t nsrcs;
-    bool accumulate;
-  };
-  bool conflicts(const std::byte* dst, std::size_t size,
-                 std::span<const std::span<const std::byte>> srcs) const;
-
-  util::ThreadPool* pool_;
-  std::vector<Pending> jobs_;
-  std::vector<const std::byte*> src_pool_;
-  std::vector<FoldJob> dispatch_scratch_;
+           bool accumulate = false) {
+    if (accumulate) {
+      xor_fold_into(dst, srcs);
+    } else {
+      xor_fold(dst, srcs);
+    }
+  }
 };
 
 namespace detail {

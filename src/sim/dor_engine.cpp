@@ -18,7 +18,6 @@
 #include "sim/validate.h"
 #include "util/check.h"
 #include "util/hugepage.h"
-#include "util/rng.h"
 
 namespace fbf::sim {
 
@@ -498,12 +497,6 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   // SOR's verify mode so the two engines verify the same stripe images).
   const bool verify_on = config_.verify_data;
   std::unordered_map<std::uint64_t, VerifyState> verify_states;
-  codes::FoldBatch verify_batch;
-  struct PendingVerify {
-    std::uint64_t stripe;
-    codes::Cell cell;
-  };
-  std::vector<PendingVerify> pending_verifies;
   if (verify_on) {
     verify_states.reserve(errors.size());
   }
@@ -521,10 +514,9 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     if (verify_on) {
       auto [vit, vfresh] = verify_states.try_emplace(err.stripe);
       if (vfresh) {
-        util::Rng rng(0x5eedull ^ err.stripe);
         vit->second.truth = std::make_unique<codes::StripeData>(
             *layout_, config_.verify_chunk_bytes);
-        vit->second.truth->fill_random(rng);
+        vit->second.truth->fill_random(0x5eedull ^ err.stripe);
         codes::encode(*vit->second.truth);
         vit->second.working =
             std::make_unique<codes::StripeData>(*vit->second.truth);
@@ -726,41 +718,26 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
 
   // verify_data scratch.
   std::vector<std::span<const std::byte>> fold_srcs;
-  auto flush_verifies = [&] {
-    if (pending_verifies.empty()) {
-      return;
-    }
-    verify_batch.flush();
-    for (const PendingVerify& pv : pending_verifies) {
-      const VerifyState& vs = verify_states.at(pv.stripe);
-      const auto out = vs.working->chunk(pv.cell);
-      const auto expected = vs.truth->chunk(pv.cell);
-      FBF_CHECK(std::equal(out.begin(), out.end(), expected.begin()),
-                "recovered chunk " + codes::to_string(pv.cell) +
-                    " does not match the original in stripe " +
-                    std::to_string(pv.stripe));
-    }
-    pending_verifies.clear();
-  };
-  /// Queues the XOR fold that rebuilds `task.target` from its chain; the
-  /// batch's dependency barriers keep cross-chain order, so one service
-  /// run's completions dispatch as a single xor_fold_batch call.
-  auto queue_chain_fold = [&](const ChainTask& task) {
+  /// Rebuilds `task.target` in the stripe's working image by folding its
+  /// chain, then checks it against the truth image at once.
+  auto verify_chain_fold = [&](const ChainTask& task) {
     VerifyState& vs = verify_states.at(task.stripe);
-    const codes::Chain& chain = layout_->chain(task.chain_id);
     fold_srcs.clear();
-    for (const codes::Cell& c : chain.cells) {
-      if (!(c == task.target)) {
+    for (const codes::Cell& c : layout_->chain(task.chain_id).cells) {
+      if (c != task.target) {
         fold_srcs.push_back(vs.working->chunk(c));
       }
     }
-    verify_batch.add(vs.working->chunk(task.target), fold_srcs);
-    pending_verifies.push_back(PendingVerify{task.stripe, task.target});
+    const auto out = vs.working->chunk(task.target);
+    codes::xor_fold(out, fold_srcs);
+    const auto expected = vs.truth->chunk(task.target);
+    FBF_CHECK(std::equal(out.begin(), out.end(), expected.begin()),
+              "recovered chunk " + codes::to_string(task.target) +
+                  " does not match the original in stripe " +
+                  std::to_string(task.stripe));
   };
-  /// Gauss tasks bypass the fold batch: the solve reads the whole stripe,
-  /// so pending folds flush first, then the targets are checked directly.
+  /// Gauss tasks solve the whole pattern, then check every target.
   auto verify_gauss_task = [&](const ChainTask& task) {
-    flush_verifies();
     VerifyState& vs = verify_states.at(task.stripe);
     const std::vector<codes::Cell> targets(
         gauss_arena.begin() + task.gauss_off,
@@ -778,10 +755,9 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
                     std::to_string(task.stripe));
     }
   };
-  /// Fault path: `cell` of `stripe` is (re-)lost — run queued folds that
-  /// still source its bytes, then erase it so its recovery is honest.
+  /// Fault path: `cell` of `stripe` is (re-)lost — erase it so its
+  /// recovery is honest.
   auto verify_mark_lost = [&](std::uint64_t stripe, codes::Cell cell) {
-    flush_verifies();
     verify_states.at(stripe).working->erase(cell);
   };
   /// Fault path: a read settles its outcome at submission, so one in
@@ -793,7 +769,6 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     if (!ci.lost || ci.recovered) {
       return;  // the working bytes are already live
     }
-    flush_verifies();
     const VerifyState& vs = verify_states.at(ci.stripe);
     const auto truth = vs.truth->chunk(ci.cell);
     std::copy(truth.begin(), truth.end(), vs.working->chunk(ci.cell).begin());
@@ -942,7 +917,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
                     "stripe", task.stripe);
     if (verify_on) {
       if (task.gauss_len == 0) {
-        queue_chain_fold(task);
+        verify_chain_fold(task);
       } else {
         verify_gauss_task(task);
       }
@@ -1472,9 +1447,6 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   foreground.finalize(last_event_ms);
   foreground.assert_drained();
   flush_installs();  // trailing deliveries reach the cache before export
-  if (verify_on) {
-    flush_verifies();
-  }
 
   metrics.reconstruction_ms = makespan;
   metrics.stripes_recovered =

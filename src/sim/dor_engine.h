@@ -68,9 +68,8 @@ struct DorConfig {
 
   /// Carry real chunk bytes through the recovery and byte-verify every
   /// recovered chunk against ground truth (mirrors
-  /// ReconstructionConfig::verify_data). Chains completed by one service
-  /// run fold through a single xor_fold_batch dispatch; Gauss tasks solve
-  /// via decode_erasures.
+  /// ReconstructionConfig::verify_data). Each completed chain folds and
+  /// compares as it completes; Gauss tasks solve via decode_erasures.
   bool verify_data = false;
   std::size_t verify_chunk_bytes = 64;
 

@@ -73,13 +73,12 @@ struct ReconstructionEngine::Worker {
     recovered[cell_idx >> 6] |= std::uint64_t{1} << (cell_idx & 63);
   }
 
-  // verify_data mode: ground-truth and in-progress stripe contents, plus
-  // the chain folds queued for batched dispatch and the targets awaiting
-  // comparison against truth at the next flush.
-  std::unique_ptr<codes::StripeData> truth;
-  std::unique_ptr<codes::StripeData> working;
-  codes::FoldBatch verify_batch;
-  std::vector<codes::Cell> pending_verifies;
+  // verify_data mode: the current stripe's ground-truth and in-progress
+  // images plus the fold's source list, allocated once by run() and
+  // refilled in place for every stripe.
+  std::optional<codes::StripeData> truth;
+  std::optional<codes::StripeData> working;
+  std::vector<std::span<const std::byte>> fold_srcs;
 
   /// Simulated time the current stripe's first operation ran; feeds the
   /// per-stripe trace span.
@@ -178,15 +177,7 @@ __attribute__((hot)) void ReconstructionEngine::start_next_stripe(Worker& w, Sim
       return;
     }
     if (config_.verify_data) {
-      util::Rng rng(0x5eedull ^ w.stripe);
-      w.truth = std::make_unique<codes::StripeData>(
-          *layout_, config_.verify_chunk_bytes);
-      w.truth->fill_random(rng);
-      codes::encode(*w.truth);
-      w.working = std::make_unique<codes::StripeData>(*w.truth);
-      for (const codes::Cell& c : outstanding) {
-        w.working->erase(c);
-      }
+      load_verify_images(w, outstanding);
     }
     // A fresh, untouched trace error keeps the configured scheme so a run
     // whose faults never fire stays comparable to the baseline; anything
@@ -235,48 +226,37 @@ __attribute__((hot)) void ReconstructionEngine::start_next_stripe(Worker& w, Sim
   w.active = true;
 
   if (config_.verify_data) {
-    util::Rng rng(0x5eedull ^ w.stripe);
-    w.truth = std::make_unique<codes::StripeData>(*layout_,
-                                                  config_.verify_chunk_bytes);
-    w.truth->fill_random(rng);
-    codes::encode(*w.truth);
-    w.working = std::make_unique<codes::StripeData>(*w.truth);
-    for (const codes::Cell& c : err.error.cells()) {
-      w.working->erase(c);
-    }
+    load_verify_images(w, err.error.cells());
   }
 }
 
-void ReconstructionEngine::queue_chunk_verify(
-    Worker& w, const recovery::RecoveryStep& step) {
-  const codes::Chain& chain = layout_->chain(step.chain_id);
-  std::vector<std::span<const std::byte>> srcs;
-  srcs.reserve(chain.cells.size());
-  for (const codes::Cell& c : chain.cells) {
+void ReconstructionEngine::load_verify_images(
+    Worker& w, std::span<const codes::Cell> lost) {
+  // Seeded by stripe exactly as DOR seeds it, so both engines verify the
+  // same images.
+  w.truth->fill_random(0x5eedull ^ w.stripe);
+  codes::encode(*w.truth);
+  *w.working = *w.truth;
+  for (const codes::Cell& c : lost) {
+    w.working->erase(c);
+  }
+}
+
+void ReconstructionEngine::verify_chunk(Worker& w,
+                                        const recovery::RecoveryStep& step) {
+  w.fold_srcs.clear();
+  for (const codes::Cell& c : layout_->chain(step.chain_id).cells) {
     if (c != step.target) {
-      srcs.push_back(w.working->chunk(c));
+      w.fold_srcs.push_back(w.working->chunk(c));
     }
   }
-  // The batch's dependency barriers reproduce peel order: a chain that
-  // consumes an earlier step's target flushes the wave before folding.
-  w.verify_batch.add(w.working->chunk(step.target), srcs);
-  w.pending_verifies.push_back(step.target);
-}
-
-void ReconstructionEngine::flush_chunk_verifies(Worker& w) {
-  if (w.pending_verifies.empty()) {
-    return;
-  }
-  w.verify_batch.flush();
-  for (const codes::Cell& target : w.pending_verifies) {
-    const auto out = w.working->chunk(target);
-    const auto expected = w.truth->chunk(target);
-    FBF_CHECK(std::equal(out.begin(), out.end(), expected.begin()),
-              "recovered chunk " + codes::to_string(target) +
-                  " does not match the original in stripe " +
-                  std::to_string(w.stripe));
-  }
-  w.pending_verifies.clear();
+  const auto out = w.working->chunk(step.target);
+  codes::xor_fold(out, w.fold_srcs);
+  const auto expected = w.truth->chunk(step.target);
+  FBF_CHECK(std::equal(out.begin(), out.end(), expected.begin()),
+            "recovered chunk " + codes::to_string(step.target) +
+                " does not match the original in stripe " +
+                std::to_string(w.stripe));
 }
 
 void ReconstructionEngine::assign_request_sequence(Worker& w) {
@@ -396,9 +376,6 @@ double ReconstructionEngine::handle_read_failure(Worker& w, codes::Cell cell,
   }
   outstanding.push_back(cell);
   if (config_.verify_data) {
-    // Queued verify folds read working-stripe bytes in place; run them
-    // before the erase rewrites the chunk they source from.
-    flush_chunk_verifies(w);
     w.working->erase(cell);
   }
   w.reads_in_step = 0;
@@ -473,11 +450,6 @@ __attribute__((hot)) double ReconstructionEngine::finish_rebuild_read(
     w.active = false;
     w.completion_pending = true;
     ++w.error_idx;
-    if (config_.verify_data) {
-      flush_chunk_verifies(w);
-    }
-    w.truth.reset();
-    w.working.reset();
   }
   return next;
 }
@@ -590,14 +562,10 @@ std::optional<double> ReconstructionEngine::advance(Worker& w, double now,
     if (config_.verify_data) {
       if (op.step == recovery::kGaussStep) {
         if (!w.gauss_verified) {
-          // The Gauss solve reads peel targets in place; drain the queued
-          // folds so it sees fully rebuilt chunks.
-          flush_chunk_verifies(w);
           verify_gauss_cells(w);
         }
       } else {
-        queue_chunk_verify(
-            w, w.scheme->steps[static_cast<std::size_t>(op.step)]);
+        verify_chunk(w, w.scheme->steps[static_cast<std::size_t>(op.step)]);
       }
     }
     obs::trace_span(config_.observer, obs::TraceLevel::Fine, obs::kPidSim,
@@ -637,7 +605,7 @@ std::optional<double> ReconstructionEngine::advance(Worker& w, double now,
     }
     // The recovered chunk sits in the buffer; later chains may reuse it.
     w.cache->install(geometry_->chunk_key(w.stripe, op.cell), op.priority);
-    next = config_.synchronous_spare_writes ? write_done : xor_done;
+    next = write_done;
   }
 
   if (w.op_idx >= w.ops_view->size()) {
@@ -646,11 +614,6 @@ std::optional<double> ReconstructionEngine::advance(Worker& w, double now,
     w.active = false;
     w.completion_pending = true;
     ++w.error_idx;
-    if (config_.verify_data) {
-      flush_chunk_verifies(w);
-    }
-    w.truth.reset();
-    w.working.reset();
   }
   return next;
 }
@@ -691,6 +654,10 @@ __attribute__((hot)) SimMetrics ReconstructionEngine::run(
   for (std::size_t i = 0; i < workers.size(); ++i) {
     workers[i].id = static_cast<int>(i);
     workers[i].cache = cache::make_policy(config_.policy, capacity);
+    if (config_.verify_data) {
+      workers[i].truth.emplace(*layout_, config_.verify_chunk_bytes);
+      workers[i].working.emplace(*layout_, config_.verify_chunk_bytes);
+    }
   }
   std::unordered_map<std::uint64_t, std::size_t> stripe_owner;
   for (std::size_t e = 0; e < errors.size(); ++e) {

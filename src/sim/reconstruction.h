@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -59,12 +60,6 @@ struct ReconstructionConfig {
   /// Memoize schemes per error format (paper §III-A). Disable to measure
   /// the un-amortized overhead for Table IV.
   bool memoize_schemes = true;
-
-  /// Write-through sparing: the worker waits for each spare write to
-  /// persist before moving on (a chunk is only "repaired" once durable).
-  /// With `false` writes are fire-and-forget and reconstruction ends when
-  /// the last queued write drains.
-  bool synchronous_spare_writes = true;
 
   /// Carry real chunk bytes through the recovery and verify each
   /// reconstructed chunk against the original (integration-test mode;
@@ -131,12 +126,12 @@ class ReconstructionEngine {
   /// Invoked when a worker finishes a stripe (releases parked degraded
   /// application reads). Installed by run().
   std::function<void(std::uint64_t stripe, double now)> on_stripe_recovered_;
-  /// verify_data mode: queues the chain fold that rebuilds `step.target`
-  /// into the worker's verify batch (dependency barriers keep peel order).
-  void queue_chunk_verify(Worker& w, const recovery::RecoveryStep& step);
-  /// Dispatches the worker's pending verify folds as one batch and checks
-  /// every rebuilt chunk against the ground-truth stripe.
-  void flush_chunk_verifies(Worker& w);
+  /// verify_data mode: regenerates the worker's truth image for its
+  /// current stripe and resets the working image to it minus `lost`.
+  void load_verify_images(Worker& w, std::span<const codes::Cell> lost);
+  /// verify_data mode: rebuilds `step.target` in the working image by
+  /// folding its chain, then checks it against the truth image at once.
+  void verify_chunk(Worker& w, const recovery::RecoveryStep& step);
   /// Points the worker at the (possibly memoized) request sequence for its
   /// current scheme. Memoization piggybacks on the scheme cache: the ops
   /// list is a pure function of (layout, scheme), so SchemeCache hits skip

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "codes/builders.h"
 #include "util/check.h"
 
@@ -19,6 +24,31 @@ StripeData encoded_stripe(const Layout& l, std::size_t chunk = 32,
   s.fill_random(rng);
   encode(s);
   return s;
+}
+
+/// Reference SplitMix64 step, written out independently of the codec's.
+std::uint64_t splitmix64_next(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+bool same_bytes(const StripeData& a, const StripeData& b) {
+  const Layout& l = a.layout();
+  for (int i = 0; i < l.num_cells(); ++i) {
+    const auto x = a.chunk(l.cell_at(i));
+    const auto y = b.chunk(l.cell_at(i));
+    if (!std::equal(x.begin(), x.end(), y.begin(), y.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool all_zero(std::span<const std::byte> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
 }
 
 TEST(XorInto, BasicAndSizeMismatch) {
@@ -69,6 +99,75 @@ TEST(StripeData, ZeroInitialized) {
 TEST(StripeData, RejectsZeroChunkSize) {
   const Layout l = make_rtp(5);
   EXPECT_THROW(StripeData(l, 0), util::CheckError);
+}
+
+// The engines rebuild a stripe's truth image from its seed alone, so the
+// generator must be a pure function of the seed.
+TEST(StripeData, FillRandomIsAPureFunctionOfTheSeed) {
+  const Layout l = make_star(7);
+  StripeData a(l, 64);
+  StripeData b(l, 64);
+  StripeData c(l, 64);
+  a.fill_random(0x5eedull ^ 45886);
+  b.fill_random(0x5eedull ^ 45886);
+  c.fill_random(0x5eedull ^ 45887);
+  EXPECT_TRUE(same_bytes(a, b));
+  EXPECT_FALSE(same_bytes(a, c));
+  // Refilling a used image in place gives a fresh image's bytes.
+  c.fill_random(0x5eedull ^ 45886);
+  EXPECT_TRUE(same_bytes(a, c));
+  // The Rng overload seeds the stream with one draw.
+  util::Rng r1(9);
+  util::Rng r2(9);
+  a.fill_random(r1);
+  b.fill_random(r2.next_u64());
+  EXPECT_TRUE(same_bytes(a, b));
+}
+
+TEST(StripeData, FillRandomLeavesParityZeroUntilEncode) {
+  for (CodeId id : kAllCodes) {
+    const Layout l = make_layout(id, 5);
+    StripeData s(l, 40);
+    s.fill_random(7);
+    for (int i = 0; i < l.num_cells(); ++i) {
+      const Cell c = l.cell_at(i);
+      EXPECT_EQ(all_zero(s.chunk(c)), l.kind(c) == CellKind::Parity)
+          << l.name() << " " << to_string(c);
+    }
+    encode(s);
+    EXPECT_TRUE(verify(s)) << l.name();
+  }
+}
+
+// The stream runs a word at a time through the data cells in cell-index
+// order, and a chunk's sub-word tail takes the leading bytes of one more
+// word, so odd chunk sizes are filled to the last byte.
+TEST(StripeData, FillRandomFillsOddChunkTails) {
+  const Layout l = make_layout(CodeId::Tip, 5);
+  for (std::size_t chunk : {1u, 7u, 65u}) {
+    StripeData s(l, chunk);
+    s.fill_random(42);
+    std::uint64_t state = 42;
+    bool tail_bytes_set = false;
+    for (int i = 0; i < l.num_cells(); ++i) {
+      const Cell c = l.cell_at(i);
+      if (l.kind(c) != CellKind::Data) {
+        continue;
+      }
+      std::vector<std::byte> want(chunk);
+      for (std::size_t b = 0; b < chunk; b += 8) {
+        const std::uint64_t word = splitmix64_next(state);
+        std::memcpy(want.data() + b, &word, std::min<std::size_t>(8, chunk - b));
+      }
+      const auto got = s.chunk(c);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "chunk=" << chunk << " " << to_string(c);
+      tail_bytes_set |= !all_zero(got.last(chunk % 8));
+    }
+    EXPECT_TRUE(tail_bytes_set) << "chunk=" << chunk;
+    encode(s);
+    EXPECT_TRUE(verify(s)) << "chunk=" << chunk;
+  }
 }
 
 TEST(Codec, EncodeMakesAllChainsVerify) {

@@ -75,20 +75,45 @@ std::string deterministic_fields(const ExperimentResult& r) {
   return out.str();
 }
 
-TEST(EndToEnd, DorVerifyDataLeavesResultsUnchanged) {
-  // DOR byte-verifies every recovered chunk, through UREs, replans and a
-  // mid-recovery disk failure, without moving any simulated result.
-  auto cfg = small_config();
-  cfg.engine = EngineKind::Dor;
-  cfg.num_errors = 20;
-  cfg.faults.ure_rate = 1e-3;
-  cfg.faults.transient_rate = 1e-3;
-  cfg.faults.disk_failure_times_ms = {200.0};
+/// Runs `cfg` with and without byte verification and expects the same
+/// deterministic results; returns the verified run's.
+ExperimentResult verified_matches_plain(ExperimentConfig cfg) {
   const ExperimentResult plain = run_experiment(cfg);
   cfg.verify_data = true;  // throws on any wrong reconstruction
   const ExperimentResult verified = run_experiment(cfg);
-  EXPECT_GT(verified.fault.escalated_stripes, 0u);
   EXPECT_EQ(deterministic_fields(verified), deterministic_fields(plain));
+  return verified;
+}
+
+TEST(EndToEnd, VerifyDataLeavesResultsUnchanged) {
+  // Both engines byte-verify every recovered chunk, through UREs, replans
+  // and a disk failure, without moving any simulated result. The early
+  // failure lands mid-recovery; the late one lands after stripes were
+  // recovered, so it kills spare copies that escalation passes re-spare
+  // (on SOR, through worker images reused across escalation, read-failure
+  // replans and respare passes).
+  for (EngineKind engine : {EngineKind::Sor, EngineKind::Dor}) {
+    SCOPED_TRACE(engine == EngineKind::Sor ? "sor" : "dor");
+    auto early = small_config();
+    early.engine = engine;
+    early.num_errors = 20;
+    early.faults.ure_rate = 1e-3;
+    early.faults.transient_rate = 1e-3;
+    early.faults.disk_failure_times_ms = {200.0};
+    EXPECT_GT(verified_matches_plain(early).fault.escalated_stripes, 0u);
+
+    auto late = early;
+    late.p = 11;
+    late.workers = 16;
+    late.num_errors = 300;
+    late.cache_bytes = 64ull << 20;
+    late.faults.ure_rate = 5e-3;
+    late.faults.transient_rate = 0.0;
+    late.faults.disk_failure_times_ms = {3000.0};
+    const ExperimentResult r = verified_matches_plain(late);
+    EXPECT_GT(r.fault.escalated_stripes, 0u);
+    EXPECT_GT(r.fault.respared, 0u);
+  }
 }
 
 TEST(EndToEnd, AllPoliciesRunAllSchemes) {
