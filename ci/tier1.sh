@@ -29,7 +29,8 @@
 # the recovery throttle on both engines, via bench_app_slo), a write
 # smoke for the partial-stripe write path (parity-update planner plus the
 # dirty write-back cache, via bench_ext_write_sweep), and a layout smoke
-# for every disk-mapping strategy (via fbfsim, wide pools included).
+# for every disk-mapping strategy (via fbfsim; the wide pools run both
+# engines under app traffic, the write path and the throttle).
 #
 # Once, in the default config, a suite smoke runs the repository
 # benchmark's pinned checks (benchsuite/run.py --smoke): every workload at
@@ -167,10 +168,13 @@ write_smoke() {
 
 # Layout smoke: every disk-mapping strategy is driven end to end through
 # fbfsim twice with the same seed; the CSVs must be byte-identical (the
-# geometry is a pure function of (stripe, cell)) and the declustered
-# strategies additionally run over a pool wider than the stripe. The
-# metrics export from one strategy run feeds obs_schema_check so the
-# conservation laws hold under a wide pool too.
+# geometry is a pure function of (stripe, cell)). The declustered
+# strategies additionally run over a pool wider than the stripe, on both
+# engines, with app reads and writes through the write path and the
+# recovery throttle, so the foreground's per-stripe records and the
+# per-stripe column maps run in every build config. The metrics export of
+# each run feeds obs_schema_check so the conservation laws hold under a
+# wide pool too.
 layout_smoke() {
   local build_dir="$1"
   local out="${build_dir}/layout-smoke"
@@ -179,25 +183,35 @@ layout_smoke() {
   local layout
   for layout in naive rotate tdesign d3; do
     local pool=0
+    local engines=(sor)
+    local traffic=()
     if [ "$layout" = "tdesign" ] || [ "$layout" = "d3" ]; then
       pool=12
+      engines=(sor dor)
+      traffic=(--app-requests=200 --app-read-fraction=0.5
+        --app-rewrite-fraction=0.3 --write-cache-chunks=32
+        --write-flush-ms=20 --recovery-throttle=500)
     fi
-    local run
-    for run in 1 2; do
-      # The scheme-gen row is genuine wall time; everything else in the
-      # table is deterministic per seed.
-      "${build_dir}/examples/fbfsim" \
-        --code=tip --p=7 --errors=16 --workers=4 --cache-mb=8 --csv \
-        --layout="$layout" --pool-size="$pool" \
-        --metrics-out="${out}/${layout}${run}.json" \
-        | grep -v "scheme gen wall" >"${out}/${layout}${run}.csv"
+    local engine
+    for engine in "${engines[@]}"; do
+      local name="${layout}-${engine}"
+      local run
+      for run in 1 2; do
+        # The scheme-gen row is genuine wall time; everything else in the
+        # table is deterministic per seed.
+        "${build_dir}/examples/fbfsim" --engine="$engine" \
+          --code=tip --p=7 --errors=16 --workers=4 --cache-mb=8 --csv \
+          --layout="$layout" --pool-size="$pool" "${traffic[@]}" \
+          --metrics-out="${out}/${name}${run}.json" \
+          | grep -v "scheme gen wall" >"${out}/${name}${run}.csv"
+      done
+      cmp "${out}/${name}1.csv" "${out}/${name}2.csv" || {
+        echo "layout ${layout} (${engine}) is not deterministic" >&2
+        exit 1
+      }
+      "${build_dir}/tools/obs_schema_check" "${out}/${name}1.json" \
+        --compare="${out}/${name}2.json"
     done
-    cmp "${out}/${layout}1.csv" "${out}/${layout}2.csv" || {
-      echo "layout ${layout} is not deterministic" >&2
-      exit 1
-    }
-    "${build_dir}/tools/obs_schema_check" "${out}/${layout}1.json" \
-      --compare="${out}/${layout}2.json"
   done
 }
 

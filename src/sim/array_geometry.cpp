@@ -91,46 +91,52 @@ ArrayGeometry::ArrayGeometry(const codes::Layout& layout,
   }
 }
 
-int ArrayGeometry::tdesign_disk_of(std::uint64_t stripe, int col) const {
-  // Colex-unrank the block (k-subset of the pool) for this stripe, then
-  // rotate the stripe's columns through the block so each member disk
-  // serves each column role equally often across the design sweep.
-  const int n = pool_disks_;
-  const int k = layout_->cols();
+void ArrayGeometry::tdesign_block(std::uint64_t stripe,
+                                  std::span<int> members) const {
+  // Colex-unrank the block (k-subset of the pool) for this stripe. Walk
+  // candidate members from the top: the largest member m of the rank-r
+  // block in colex order satisfies binom(m, j) <= r for the current
+  // position j, consuming binom(m, j) from the rank.
   std::uint64_t rank = stripe % tdesign_blocks_;
-  // Walk candidate members from the top: the largest member m of the
-  // rank-r block in colex order satisfies binom(m, j) <= r for the
-  // current position j, consuming binom(m, j) from the rank.
-  const int want =
-      static_cast<int>((static_cast<std::uint64_t>(col) + stripe) %
-                       static_cast<std::uint64_t>(k));
-  int j = k;
-  for (int v = n - 1; j > 0; --v) {
+  int j = layout_->cols();
+  for (int v = pool_disks_ - 1; j > 0; --v) {
     FBF_CHECK(v >= 0, "t-design unrank ran out of candidates");
     if (binom(v, j) <= rank) {
       rank -= binom(v, j);
-      --j;
-      if (j == want) {
-        return v;  // block members are found largest-first: index j
-      }
+      members[static_cast<std::size_t>(--j)] = v;
     }
   }
-  FBF_CHECK(false, "t-design unrank failed");
-  return 0;
 }
 
-int ArrayGeometry::spare_disk_of(std::uint64_t stripe, codes::Cell c) const {
-  const int home = disk_of(stripe, c);
-  if (spare_ == SparePlacement::SameDisk) {
-    return home;
+int ArrayGeometry::tdesign_disk_of(std::uint64_t stripe, int col) const {
+  int block[64];  // cols <= pool <= 64
+  tdesign_block(stripe,
+                std::span<int>(block, static_cast<std::size_t>(layout_->cols())));
+  // Rotate the stripe's columns through the block so each member disk
+  // serves each column role equally often across the design sweep.
+  const auto k = static_cast<std::uint64_t>(layout_->cols());
+  return block[(static_cast<std::uint64_t>(col) + stripe) % k];
+}
+
+void ArrayGeometry::stripe_disks(std::uint64_t stripe,
+                                 std::span<int> out) const {
+  const int cols = layout_->cols();
+  FBF_CHECK(out.size() == static_cast<std::size_t>(cols),
+            "column map must hold one disk per column");
+  if (strategy_ != LayoutStrategy::TDesignDecluster) {
+    for (int c = 0; c < cols; ++c) {
+      out[static_cast<std::size_t>(c)] =
+          disk_of(stripe, codes::Cell{0, static_cast<std::int16_t>(c)});
+    }
+    return;
   }
-  // Declustered sparing: rotate the spare target over the other pool
-  // disks so recovery writes spread across the array.
-  const auto n = static_cast<std::uint64_t>(pool_disks_);
-  const std::uint64_t offset = 1 + (stripe + static_cast<std::uint64_t>(
-                                                 c.row)) % (n - 1);
-  return static_cast<int>(
-      (static_cast<std::uint64_t>(home) + offset) % n);
+  int block[64];  // cols <= pool <= 64
+  tdesign_block(stripe, std::span<int>(block, out.size()));
+  const auto k = static_cast<std::uint64_t>(cols);
+  const std::uint64_t shift = stripe % k;
+  for (std::uint64_t c = 0; c < k; ++c) {
+    out[c] = block[(c + shift) % k];
+  }
 }
 
 }  // namespace fbf::sim

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,11 +108,35 @@ class ArrayGeometry {
     return c.col;  // unreachable
   }
 
+  /// Column map of one stripe: out[col] = disk_of(stripe, {row, col}) for
+  /// every column (a column's cells share one disk). `out` must hold
+  /// exactly layout().cols() entries. Under TDesignDecluster one colex
+  /// unrank yields the whole block, where disk_of unranks per call, so
+  /// callers that touch many cells of a stripe fill this map once.
+  void stripe_disks(std::uint64_t stripe, std::span<int> out) const;
+
   /// Disk holding the spare copy of a recovered chunk (== disk_of under
   /// SameDisk placement). Deliberately fault-agnostic: live routing
   /// around failed disks is the FaultInjector's job, and the engines
   /// assert (under FBF_VALIDATE) that no spare write reaches a dead disk.
-  int spare_disk_of(std::uint64_t stripe, codes::Cell c) const;
+  int spare_disk_of(std::uint64_t stripe, codes::Cell c) const {
+    return spare_disk_from(disk_of(stripe, c), stripe, c.row);
+  }
+
+  /// spare_disk_of for callers that already hold the cell's home disk
+  /// (a column map from stripe_disks, or a cached chunk record).
+  int spare_disk_from(int home_disk, std::uint64_t stripe, int row) const {
+    if (spare_ == SparePlacement::SameDisk) {
+      return home_disk;
+    }
+    // Declustered sparing: rotate the spare target over the other pool
+    // disks so recovery writes spread across the array.
+    const auto n = static_cast<std::uint64_t>(pool_disks_);
+    const std::uint64_t offset =
+        1 + (stripe + static_cast<std::uint64_t>(row)) % (n - 1);
+    return static_cast<int>((static_cast<std::uint64_t>(home_disk) + offset) %
+                            n);
+  }
 
   /// Chunk LBA of a cell inside the data region of its disk.
   std::uint64_t lba_of(std::uint64_t stripe, codes::Cell c) const {
@@ -131,8 +156,8 @@ class ArrayGeometry {
     return spare_lba_from(disk_of(stripe, c), lba_of(stripe, c));
   }
 
-  /// spare_lba_of for callers that already cached the home disk and data
-  /// LBA (the DOR fast path keeps both in its 64-byte chunk records).
+  /// spare_lba_of for callers that already hold the home disk and data
+  /// LBA (DOR's 64-byte chunk records, SOR's per-stripe column map).
   std::uint64_t spare_lba_from(int home_disk, std::uint64_t lba) const {
     if (spare_ == SparePlacement::SameDisk) {
       return disk_capacity_chunks() + lba;
@@ -155,6 +180,9 @@ class ArrayGeometry {
 
  private:
   int tdesign_disk_of(std::uint64_t stripe, int col) const;
+  /// Block members of a t-design stripe in colex order, smallest first:
+  /// members[j] for j in [0, cols).
+  void tdesign_block(std::uint64_t stripe, std::span<int> members) const;
   std::uint64_t binom(int n, int k) const {
     return binom_[static_cast<std::size_t>(n) *
                       static_cast<std::size_t>(layout_->cols() + 1) +

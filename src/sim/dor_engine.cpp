@@ -15,6 +15,7 @@
 #include "obs/registry.h"
 #include "recovery/scheme.h"
 #include "sim/event_queue.h"
+#include "sim/key_id_map.h"
 #include "sim/validate.h"
 #include "util/check.h"
 #include "util/hugepage.h"
@@ -31,108 +32,8 @@ namespace fbf::sim {
 
 namespace {
 
-constexpr std::uint32_t kNoId = 0xffffffffu;
+constexpr std::uint32_t kNoId = KeyIdMap::kNoId;
 constexpr std::uint32_t kNoWaiter = 0xffffffffu;
-
-/// Growable open-addressing chunk-key → dense-id map. Insert-only (DOR
-/// never forgets a chunk), so probing needs no tombstones; `kNoId` in the
-/// id field marks an empty slot, which keeps key 0 usable (chunk keys
-/// start at 0). Key and id share one 16-byte slot so a probe against the
-/// table — always a cold miss at storm-scale id spaces — costs one cache
-/// line, not two. Same splitmix64 finalizer as cache::core::KeyIndexTable
-/// — that table is fixed-capacity by design and fault replans mint chunks
-/// unboundedly, hence the local growable twin.
-class KeyIdMap {
- public:
-  explicit KeyIdMap(std::size_t expected) {
-    std::size_t cap = 16;
-    while (cap < expected * 2) {
-      cap <<= 1;
-    }
-    // Advise before assign: the fill below is the first touch, so the
-    // whole slot array faults in as huge pages (tens of MB probed
-    // randomly — 4 KiB paging would make every probe a TLB walk too).
-    slots_.reserve(cap);
-    util::advise_hugepages(slots_.data(), cap * sizeof(Slot));
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-  }
-
-  std::uint32_t find(cache::Key key) const {
-    for (std::size_t s = slot(key);; s = (s + 1) & mask_) {
-      if (slots_[s].id == kNoId) {
-        return kNoId;
-      }
-      if (slots_[s].key == key) {
-        return slots_[s].id;
-      }
-    }
-  }
-
-  /// Prefetch hint for an imminent find/find_or_insert of `key`: the
-  /// table spans tens of megabytes at sweep scale, so every probe is a
-  /// DRAM miss unless issued ahead of use.
-  void prefetch(cache::Key key) const {
-    __builtin_prefetch(slots_.data() + slot(key));
-  }
-
-  /// Existing id for `key`, or inserts `id` and reports fresh.
-  std::pair<std::uint32_t, bool> find_or_insert(cache::Key key,
-                                                std::uint32_t id) {
-    for (std::size_t s = slot(key);; s = (s + 1) & mask_) {
-      if (slots_[s].id == kNoId) {
-        slots_[s].key = key;
-        slots_[s].id = id;
-        if (++size_ * 2 >= slots_.size()) {
-          grow();
-        }
-        return {id, true};
-      }
-      if (slots_[s].key == key) {
-        return {slots_[s].id, false};
-      }
-    }
-  }
-
- private:
-  struct Slot {
-    cache::Key key = 0;
-    std::uint32_t id = kNoId;
-  };
-
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-  }
-  std::size_t slot(cache::Key key) const {
-    return static_cast<std::size_t>(mix(key)) & mask_;
-  }
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.reserve(old.size() * 2);
-    util::advise_hugepages(slots_.data(), old.size() * 2 * sizeof(Slot));
-    slots_.assign(old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    for (const Slot& o : old) {
-      if (o.id == kNoId) {
-        continue;
-      }
-      std::size_t d = slot(o.key);
-      while (slots_[d].id != kNoId) {
-        d = (d + 1) & mask_;
-      }
-      slots_[d] = o;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
-};
 
 /// Chain member in the shared arena: key + dense chunk id + the member's
 /// fixed position inside its task (the awaiting-bitset bit it owns).
@@ -216,9 +117,6 @@ struct alignas(64) ChunkInfo {
   bool lost = false;
   bool recovered = false;
   bool write_pending = false;
-  /// App path: the first spare persistence decrements the stripe's
-  /// outstanding-loss count.
-  bool recovered_once = false;
 };
 static_assert(sizeof(ChunkInfo) == 64, "ChunkInfo must stay one cache line");
 
@@ -612,12 +510,6 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   if (config_.throttle.enabled()) {
     throttle.emplace(config_.throttle);
   }
-  std::unordered_map<std::uint64_t, std::size_t> stripe_outstanding;
-  if (!app_trace.empty()) {
-    for (const workload::StripeError& e : errors) {
-      stripe_outstanding[e.stripe] += e.error.cells().size();
-    }
-  }
 
   // ---- Event loop. ----
   // Events carry the dense chunk id, not the key (AppArrival reuses the
@@ -924,10 +816,12 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     }
     auto write_target = [&](codes::Cell target, std::uint32_t tid) {
       FBF_CHECK(tid != kNoId, "spare write for an unregistered chunk");
+      const int preferred = geometry_->spare_disk_of(task.stripe, target);
       const auto d = static_cast<std::size_t>(
           injector.has_value()
-              ? injector->spare_disk(*geometry_, task.stripe, target, xor_done)
-              : geometry_->spare_disk_of(task.stripe, target));
+              ? injector->spare_disk(preferred, geometry_->num_disks(),
+                                     xor_done)
+              : preferred);
       if (injector.has_value() && validation_enabled()) {
         // spare_disk_of is deliberately fault-agnostic; the injector's
         // rerouting must keep recovery writes off dead disks.
@@ -1305,15 +1199,8 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
         }
         deliver(ev.id, ev.t);
         if (!app_trace.empty()) {
-          ChunkInfo& ci = chunks[ev.id];  // re-indexed: deliver may move
-          if (foreground.damaged_keys().count(ci.key) > 0 &&
-              !ci.recovered_once) {
-            ci.recovered_once = true;
-            const auto out = stripe_outstanding.find(ci.stripe);
-            if (out != stripe_outstanding.end() && --out->second == 0) {
-              foreground.on_stripe_recovered(ci.stripe, ev.t);
-            }
-          }
+          const ChunkInfo& ci = chunks[ev.id];  // re-indexed: deliver may move
+          foreground.on_loss_recovered(ci.stripe, ci.cell, ev.t);
         }
         break;
       }
@@ -1413,6 +1300,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
       if (queue.empty() || queue.peek().t > inline_ev.t) {
         ev = inline_ev;  // provably next: carry it, skip push + pop
         carried = true;
+        ++metrics.cursor_elided_events;
       } else {
         inline_ev.seq = seq++;
         queue.push(inline_ev.disk & kReaderShardMask, inline_ev);
@@ -1444,6 +1332,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   FBF_CHECK(tasks_done == tasks.size(),
             "DOR finished with incomplete chains — dependency deadlock");
   metrics.event_queue_regrowths = queue.regrowths();
+  metrics.event_queue_pushes = queue.pushes();
   foreground.finalize(last_event_ms);
   foreground.assert_drained();
   flush_installs();  // trailing deliveries reach the cache before export

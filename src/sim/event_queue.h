@@ -54,6 +54,7 @@ class ShardedEventQueue {
   void push(std::size_t shard, const Event& ev) {
     const std::size_t s = checked(shard);
     auto& h = heaps_[s];
+    ++pushes_;
     if (h.size() == h.capacity()) {
       ++regrowths_;  // reservation breached: vector growth (amortized)
     }
@@ -97,6 +98,9 @@ class ShardedEventQueue {
   /// Pushes past a shard's reservation observed so far (each one a vector
   /// regrowth). Zero on runs whose per-shard bounds are exact.
   std::uint64_t regrowths() const { return regrowths_; }
+
+  /// Events pushed so far. Each one costs a heap push and, later, a pop.
+  std::uint64_t pushes() const { return pushes_; }
 
  private:
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
@@ -153,6 +157,7 @@ class ShardedEventQueue {
   std::vector<std::uint32_t> tree_;
   std::size_t size_ = 0;
   std::uint64_t regrowths_ = 0;
+  std::uint64_t pushes_ = 0;
 };
 
 }  // namespace fbf::sim

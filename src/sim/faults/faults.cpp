@@ -236,13 +236,12 @@ FaultInjector::ReadOutcome FaultInjector::read(Disk& disk, double now,
   }
 }
 
-int FaultInjector::spare_disk(const ArrayGeometry& geometry,
-                              std::uint64_t stripe, codes::Cell cell,
+int FaultInjector::spare_disk(int preferred, int pool_disks,
                               double now) const {
-  int d = geometry.spare_disk_of(stripe, cell);
+  int d = preferred;
   for (int hops = 0; plan_->disk_failed(d, now); ++hops) {
-    FBF_CHECK(hops < geometry.num_disks(), "no live disk for spare write");
-    d = (d + 1) % geometry.num_disks();
+    FBF_CHECK(hops < pool_disks, "no live disk for spare write");
+    d = (d + 1) % pool_disks;
   }
   return d;
 }

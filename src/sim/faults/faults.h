@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "codes/layout.h"
-#include "sim/array_geometry.h"
 #include "sim/disk.h"
 #include "sim/metrics.h"
 #include "util/check.h"
@@ -173,12 +172,12 @@ class FaultInjector {
   ReadOutcome read(Disk& disk, double now, std::uint64_t lba,
                    std::uint64_t chunk_key, bool original_location);
 
-  /// Spare disk for (stripe, cell) skipping failed disks: walks forward
-  /// from the geometry's choice until a live disk is found. Deterministic;
-  /// at most 3 disks can be dead (a 4th loss aborts earlier), so a live
-  /// target always exists for the supported array widths.
-  int spare_disk(const ArrayGeometry& geometry, std::uint64_t stripe,
-                 codes::Cell cell, double now) const;
+  /// Spare disk skipping failed disks: walks forward through a pool of
+  /// `pool_disks` from `preferred` (the geometry's spare_disk_of choice)
+  /// until a live disk is found. Deterministic; at most 3 disks can be
+  /// dead (a 4th loss aborts earlier), so a live target always exists for
+  /// the supported array widths.
+  int spare_disk(int preferred, int pool_disks, double now) const;
 
  private:
   const FaultPlan* plan_;

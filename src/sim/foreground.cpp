@@ -48,10 +48,10 @@ ForegroundServer::ForegroundServer(
       metrics_(&metrics),
       injector_(app_injector),
       spare_disk_override_(std::move(spare_disk_override)),
-      write_config_(write_config) {
-  // The damage indexes exist to classify app I/O; with no trace nothing
-  // ever consults them, and building them costs two hash-set inserts per
-  // lost chunk — measurable against a recovery-only macro bench.
+      write_config_(write_config),
+      memo_disks_(static_cast<std::size_t>(layout.cols())) {
+  // The stripe records exist to classify app I/O; with no trace nothing
+  // ever consults them.
   if (trace.empty()) {
     return;
   }
@@ -60,38 +60,69 @@ ForegroundServer::ForegroundServer(
         cache::make_policy(write_config_.policy, write_config_.cache_chunks);
     metrics_->write.enabled = true;
   }
+  words_ = (static_cast<std::size_t>(layout.num_cells()) + 63) / 64;
+  stripe_ids_ = KeyIdMap(errors.size());
+  records_.reserve(errors.size());
   for (const workload::StripeError& e : errors) {
-    damaged_stripes_.insert(e.stripe);
+    const auto [id, fresh] = stripe_ids_.find_or_insert(
+        e.stripe, static_cast<std::uint32_t>(records_.size()));
+    if (fresh) {
+      records_.emplace_back();
+      loss_bits_.resize(loss_bits_.size() + 2 * words_, 0);
+    }
+    // A stripe the trace lists twice counts each lost cell once.
     for (const codes::Cell& c : e.error.cells()) {
-      damaged_keys_.insert(geometry_->chunk_key(e.stripe, c));
+      std::uint64_t mask = 0;
+      const std::size_t lost = loss_word(id, 0, c, mask);
+      if ((loss_bits_[lost] & mask) != 0) {
+        continue;
+      }
+      loss_bits_[lost] |= mask;
+      loss_bits_[loss_word(id, 1, c, mask)] |= mask;
+      ++records_[id].pending;
     }
   }
 }
 
+bool ForegroundServer::traced_loss(std::uint64_t stripe,
+                                   codes::Cell cell) const {
+  const std::uint32_t id = record_id(stripe);
+  if (id == KeyIdMap::kNoId) {
+    return false;
+  }
+  std::uint64_t mask = 0;
+  return (loss_bits_[loss_word(id, 0, cell, mask)] & mask) != 0;
+}
+
+bool ForegroundServer::stripe_under_repair(std::uint64_t stripe) const {
+  const std::uint32_t id = record_id(stripe);
+  return id != KeyIdMap::kNoId && !records_[id].repaired;
+}
+
 ForegroundServer::Location ForegroundServer::locate(std::uint64_t stripe,
-                                                    codes::Cell cell) const {
-  const std::uint64_t key = geometry_->chunk_key(stripe, cell);
-  if (damaged_keys_.count(key) == 0) {
-    return Location{geometry_->disk_of(stripe, cell),
-                    geometry_->lba_of(stripe, cell)};
+                                                    codes::Cell cell) {
+  if (stripe != memo_disks_stripe_) {
+    geometry_->stripe_disks(stripe, memo_disks_);
+    memo_disks_stripe_ = stripe;
+  }
+  const int home = memo_disks_[static_cast<std::size_t>(cell.col)];
+  const std::uint64_t lba = geometry_->lba_of(stripe, cell);
+  if (!traced_loss(stripe, cell)) {
+    return Location{home, lba};
   }
   // Damaged chunks live in the spare area; the original sector is dead.
-  int disk = spare_disk_override_ ? spare_disk_override_(key) : -1;
+  int disk = spare_disk_override_
+                 ? spare_disk_override_(geometry_->chunk_key(stripe, cell))
+                 : -1;
   if (disk < 0) {
-    disk = geometry_->spare_disk_of(stripe, cell);
+    disk = geometry_->spare_disk_from(home, stripe, cell.row);
   }
-  return Location{disk, geometry_->spare_lba_of(stripe, cell)};
+  return Location{disk, geometry_->spare_lba_from(home, lba)};
 }
 
 bool ForegroundServer::damaged_unrepaired(std::uint64_t stripe,
                                           codes::Cell cell) const {
-  return damaged_keys_.count(geometry_->chunk_key(stripe, cell)) > 0 &&
-         repaired_stripes_.count(stripe) == 0;
-}
-
-bool ForegroundServer::stripe_under_repair(std::uint64_t stripe) const {
-  return damaged_stripes_.count(stripe) > 0 &&
-         repaired_stripes_.count(stripe) == 0;
+  return stripe_under_repair(stripe) && traced_loss(stripe, cell);
 }
 
 bool ForegroundServer::must_park(const workload::AppRequest& req) const {
@@ -120,8 +151,17 @@ void ForegroundServer::park(std::size_t index, double arrival, bool is_read) {
   } else {
     ++metrics_->app_degraded_writes;
   }
-  parked_by_stripe_[(*trace_)[index].stripe].push_back(
-      Parked{index, arrival});
+  const std::uint32_t id = record_id((*trace_)[index].stripe);
+  FBF_CHECK(id != KeyIdMap::kNoId, "parked a request on an untraced stripe");
+  StripeRecord& rec = records_[id];
+  const auto slot = static_cast<std::uint32_t>(parked_.size());
+  parked_.push_back(Parked{index, arrival, kNone});
+  if (rec.parked_tail == kNone) {
+    rec.parked_head = slot;
+  } else {
+    parked_[rec.parked_tail].next = slot;
+  }
+  rec.parked_tail = slot;
   ++parked_count_;
 }
 
@@ -173,7 +213,7 @@ bool ForegroundServer::serve_read(const workload::AppRequest& req,
     // Spare copies are never URE-hit (original_location gates the
     // predicate), matching the rebuild path's remap semantics.
     const FaultInjector::ReadOutcome rr = injector_->read(
-        disk, start, loc.lba, key, damaged_keys_.count(key) == 0);
+        disk, start, loc.lba, key, !traced_loss(req.stripe, req.cell));
     done = rr.done_ms;
     if (!rr.ok) {
       if (stripe_under_repair(req.stripe)) {
@@ -409,15 +449,16 @@ void ForegroundServer::on_arrival(std::size_t index, double now) {
 }
 
 void ForegroundServer::on_stripe_recovered(std::uint64_t stripe, double now) {
-  if (trace_->empty()) {
-    return;  // repaired_stripes_ only gates app I/O; nothing to drain
+  const std::uint32_t id = record_id(stripe);
+  if (id == KeyIdMap::kNoId) {
+    return;  // untraced, or no app trace: nothing parks, nothing to gate
   }
-  repaired_stripes_.insert(stripe);
-  const auto it = parked_by_stripe_.find(stripe);
-  if (it == parked_by_stripe_.end()) {
-    return;
-  }
-  for (const Parked& p : it->second) {
+  StripeRecord& rec = records_[id];
+  rec.repaired = true;
+  // Serving never parks, so the list cannot grow while it drains.
+  for (std::uint32_t slot = rec.parked_head; slot != kNone;
+       slot = parked_[slot].next) {
+    const Parked& p = parked_[slot];
     const workload::AppRequest& req = (*trace_)[p.index];
     ++metrics_->app_parked_drained;
     if (req.is_read) {
@@ -429,9 +470,27 @@ void ForegroundServer::on_stripe_recovered(std::uint64_t stripe, double now) {
       const bool served = serve_write(req, now, p.arrival_ms);
       FBF_CHECK(served, "drained degraded write parked again");
     }
+    --parked_count_;
   }
-  parked_count_ -= it->second.size();
-  parked_by_stripe_.erase(it);
+  rec.parked_head = kNone;
+  rec.parked_tail = kNone;
+}
+
+void ForegroundServer::on_loss_recovered(std::uint64_t stripe,
+                                         codes::Cell cell, double now) {
+  const std::uint32_t id = record_id(stripe);
+  if (id == KeyIdMap::kNoId) {
+    return;
+  }
+  std::uint64_t mask = 0;
+  std::uint64_t& unpersisted = loss_bits_[loss_word(id, 1, cell, mask)];
+  if ((unpersisted & mask) == 0) {
+    return;  // not a traced loss, or its first copy already persisted
+  }
+  unpersisted &= ~mask;
+  if (--records_[id].pending == 0) {
+    on_stripe_recovered(stripe, now);
+  }
 }
 
 void ForegroundServer::assert_drained() const {

@@ -44,17 +44,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "cache/policy.h"
 #include "codes/layout.h"
 #include "sim/array_geometry.h"
 #include "sim/disk.h"
 #include "sim/faults/faults.h"
+#include "sim/key_id_map.h"
 #include "sim/metrics.h"
 #include "workload/app_trace.h"
 #include "workload/errors.h"
@@ -111,8 +109,9 @@ class RebuildThrottle {
 };
 
 /// Per-run foreground server. Owns the parking state and all app-side
-/// metrics; the engines forward arrival events and stripe-recovery
-/// completions and otherwise never touch the app path.
+/// metrics; the engines forward arrival events and recovery completions
+/// (SOR per stripe pass, DOR per recovered loss) and otherwise never
+/// touch the app path.
 class ForegroundServer {
  public:
   /// `spare_disk_override(key)` maps a chunk key to the disk its live
@@ -155,15 +154,27 @@ class ForegroundServer {
   /// are folded into the run metrics. Call before assert_drained().
   void finalize(double now);
 
-  /// Releases requests parked on `stripe`; call when its recovery (the
-  /// traced losses) completes. Idempotent per stripe.
+  /// Marks `stripe` repaired and releases the requests parked on it, in
+  /// arrival order; call when its recovery (the traced losses) completes.
+  /// Idempotent per stripe; a no-op for a stripe the trace never lists.
+  /// SOR calls it at the end of each stripe pass.
   void on_stripe_recovered(std::uint64_t stripe, double now);
 
-  /// Chunk keys of every traced loss (shared with the engines' own
-  /// damaged-chunk bookkeeping).
-  const std::unordered_set<std::uint64_t>& damaged_keys() const {
-    return damaged_keys_;
-  }
+  /// A recovered copy of (stripe, cell) persisted at `now`. The first
+  /// persistence of each distinct traced loss counts its stripe down;
+  /// the last one calls on_stripe_recovered. Repeat persistences
+  /// (respares) and cells the trace does not list (escalation losses)
+  /// are ignored. DOR's hook: it has no per-stripe pass to end.
+  void on_loss_recovered(std::uint64_t stripe, codes::Cell cell, double now);
+
+  /// True when the error trace lists (stripe, cell) as lost, under any of
+  /// the stripe's errors. Stays true after repair: the chunk then lives
+  /// at its spare location.
+  bool traced_loss(std::uint64_t stripe, codes::Cell cell) const;
+
+  /// True for a traced stripe whose recovery has not completed. A stripe
+  /// the trace never lists is never under repair.
+  bool stripe_under_repair(std::uint64_t stripe) const;
 
   /// End-of-run sanity: every parked request must have drained.
   void assert_drained() const;
@@ -173,16 +184,48 @@ class ForegroundServer {
     int disk = 0;
     std::uint64_t lba = 0;
   };
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  /// Foreground state of one traced stripe. Its two bitsets, indexed by
+  /// cell_index, sit at loss_bits_[id * 2 * words_]: the traced losses,
+  /// then the traced losses whose recovered copy has not yet persisted.
+  struct StripeRecord {
+    std::uint32_t pending = 0;  ///< distinct traced losses not yet persisted
+    std::uint32_t parked_head = kNone;  ///< parked_ list, arrival order
+    std::uint32_t parked_tail = kNone;
+    bool repaired = false;
+  };
   struct Parked {
     std::size_t index = 0;
     double arrival_ms = 0.0;
+    std::uint32_t next = kNone;
   };
+
+  /// Record id of a traced stripe, or KeyIdMap::kNoId. The last lookup is
+  /// memoized: serving one request asks about its stripe many times.
+  std::uint32_t record_id(std::uint64_t stripe) const {
+    if (stripe != memo_stripe_) {
+      memo_stripe_ = stripe;
+      memo_id_ = stripe_ids_.find(stripe);
+    }
+    return memo_id_;
+  }
+  /// Index into loss_bits_ of the word holding `cell`'s bit in record
+  /// `id`'s bitset `set` (0: traced losses, 1: not yet persisted); the
+  /// bit's mask goes to `mask`.
+  std::size_t loss_word(std::uint32_t id, int set, codes::Cell cell,
+                        std::uint64_t& mask) const {
+    const auto idx = static_cast<std::size_t>(layout_->cell_index(cell));
+    mask = std::uint64_t{1} << (idx & 63);
+    return (2 * static_cast<std::size_t>(id) + static_cast<std::size_t>(set)) *
+               words_ +
+           (idx >> 6);
+  }
 
   /// Physical home of (stripe, cell): the spare copy for damaged chunks
   /// (the original sector is dead), the original location otherwise.
-  Location locate(std::uint64_t stripe, codes::Cell cell) const;
+  /// Reads the home disk from a one-stripe column map.
+  Location locate(std::uint64_t stripe, codes::Cell cell);
   bool damaged_unrepaired(std::uint64_t stripe, codes::Cell cell) const;
-  bool stripe_under_repair(std::uint64_t stripe) const;
   bool must_park(const workload::AppRequest& req) const;
   void park(std::size_t index, double arrival, bool is_read);
   /// Serves a read starting at `start`; false means the target hard-failed
@@ -229,11 +272,19 @@ class ForegroundServer {
   std::unique_ptr<cache::CachePolicy> write_cache_;
   std::vector<cache::core::DirtyLine> dirty_scratch_;
 
-  std::unordered_set<std::uint64_t> damaged_keys_;
-  std::unordered_set<std::uint64_t> damaged_stripes_;
-  std::unordered_set<std::uint64_t> repaired_stripes_;
-  std::unordered_map<std::uint64_t, std::vector<Parked>> parked_by_stripe_;
+  /// Traced stripe -> record id, sized once from the error count. Empty
+  /// when the run carries no app trace: nothing then consults it.
+  KeyIdMap stripe_ids_{0};
+  std::vector<StripeRecord> records_;
+  std::vector<std::uint64_t> loss_bits_;
+  std::size_t words_ = 0;  ///< bitset words per stripe
+  std::vector<Parked> parked_;
   std::size_t parked_count_ = 0;
+  mutable std::uint64_t memo_stripe_ = ~std::uint64_t{0};
+  mutable std::uint32_t memo_id_ = KeyIdMap::kNoId;
+  /// Column map of memo_disks_stripe_ (ArrayGeometry::stripe_disks).
+  std::vector<int> memo_disks_;
+  std::uint64_t memo_disks_stripe_ = ~std::uint64_t{0};
 };
 
 }  // namespace fbf::sim

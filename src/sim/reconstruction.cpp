@@ -48,6 +48,10 @@ struct ReconstructionEngine::Worker {
   /// (verify_data mode charges it once, at the first Gauss-step write).
   bool gauss_verified = false;
   std::uint64_t stripe = 0;
+  /// Column map of `stripe` (ArrayGeometry::stripe_disks), filled once per
+  /// pass: reads and spare writes take each cell's home disk from here
+  /// instead of unranking a t-design block per cell.
+  std::vector<int> disks;
   std::shared_ptr<const recovery::RecoveryScheme> scheme;
   /// Fault path: owns the fault plan when the current pass was re-planned
   /// (scheme then aliases fault_scheme->scheme); null on the baseline path.
@@ -131,6 +135,7 @@ __attribute__((hot)) void ReconstructionEngine::start_next_stripe(Worker& w, Sim
                                              double now) {
   const workload::StripeError& err = *w.assigned[w.error_idx];
   w.stripe = err.stripe;
+  geometry_->stripe_disks(w.stripe, w.disks);
 
   if (injector_ != nullptr) {
     w.escalation = escalation_errors_.count(&err) > 0;
@@ -512,25 +517,24 @@ std::optional<double> ReconstructionEngine::advance(Worker& w, double now,
       // write landed (spared_on_ spans passes and replans); otherwise a
       // recovered chunk no longer exists at its original address and is
       // re-read from where the spare write placed it.
+      const int home = w.disks[static_cast<std::size_t>(op.cell.col)];
+      const std::uint64_t home_lba = geometry_->lba_of(w.stripe, op.cell);
       bool from_spare;
-      std::uint64_t lba;
       int disk_id;
       if (injector_ != nullptr) {
         const auto spare_it = spared_on_.find(key);
         from_spare = spare_it != spared_on_.end();
-        lba = from_spare ? geometry_->spare_lba_of(w.stripe, op.cell)
-                         : geometry_->lba_of(w.stripe, op.cell);
-        disk_id = from_spare ? spare_it->second
-                             : geometry_->disk_of(w.stripe, op.cell);
+        disk_id = from_spare ? spare_it->second : home;
       } else {
         const auto cell_idx =
             static_cast<std::size_t>(layout_->cell_index(op.cell));
         from_spare = w.is_recovered(cell_idx);
-        lba = from_spare ? geometry_->spare_lba_of(w.stripe, op.cell)
-                         : geometry_->lba_of(w.stripe, op.cell);
-        disk_id = from_spare ? geometry_->spare_disk_of(w.stripe, op.cell)
-                             : geometry_->disk_of(w.stripe, op.cell);
+        disk_id = from_spare
+                      ? geometry_->spare_disk_from(home, w.stripe, op.cell.row)
+                      : home;
       }
+      const std::uint64_t lba =
+          from_spare ? geometry_->spare_lba_from(home, home_lba) : home_lba;
       if (throttle_ != nullptr) {
         // Rebuild misses yield to foreground traffic: a token grant in the
         // future parks the submission until then (Worker::PendingRead)
@@ -574,10 +578,14 @@ std::optional<double> ReconstructionEngine::advance(Worker& w, double now,
                     w.stripe);
     // With disk failures in play the geometry's spare target may be dead;
     // the injector redirects to the next live disk.
+    const int home = w.disks[static_cast<std::size_t>(op.cell.col)];
+    const int preferred =
+        geometry_->spare_disk_from(home, w.stripe, op.cell.row);
     const int spare_disk =
         injector_ != nullptr
-            ? injector_->spare_disk(*geometry_, w.stripe, op.cell, xor_done)
-            : geometry_->spare_disk_of(w.stripe, op.cell);
+            ? injector_->spare_disk(preferred, geometry_->num_disks(),
+                                    xor_done)
+            : preferred;
     if (injector_ != nullptr && validation_enabled()) {
       // spare_disk_of is deliberately fault-agnostic; the injector's
       // rerouting is the only thing standing between a recovery write and
@@ -587,7 +595,8 @@ std::optional<double> ReconstructionEngine::advance(Worker& w, double now,
     }
     Disk& disk = disks_[static_cast<std::size_t>(spare_disk)];
     const double write_done = disk.submit_write(
-        xor_done, geometry_->spare_lba_of(w.stripe, op.cell));
+        xor_done, geometry_->spare_lba_from(
+                      home, geometry_->lba_of(w.stripe, op.cell)));
     ++metrics.disk_writes;
     ++metrics.write.spare_writes;
     ++metrics.chunks_recovered;
@@ -654,6 +663,7 @@ __attribute__((hot)) SimMetrics ReconstructionEngine::run(
   for (std::size_t i = 0; i < workers.size(); ++i) {
     workers[i].id = static_cast<int>(i);
     workers[i].cache = cache::make_policy(config_.policy, capacity);
+    workers[i].disks.resize(static_cast<std::size_t>(layout_->cols()));
     if (config_.verify_data) {
       workers[i].truth.emplace(*layout_, config_.verify_chunk_bytes);
       workers[i].working.emplace(*layout_, config_.verify_chunk_bytes);
@@ -804,16 +814,15 @@ __attribute__((hot)) SimMetrics ReconstructionEngine::run(
             layout_->cell_at(static_cast<int>(key % cells_per_stripe)));
         ++metrics.fault.respared;
       }
+      std::vector<int> traced_disks(static_cast<std::size_t>(layout_->cols()));
       for (const workload::StripeError& traced : errors) {
-        int col = -1;
-        for (int c = 0; c < layout_->cols(); ++c) {
-          if (geometry_->disk_of(traced.stripe,
-                                 codes::Cell{0, static_cast<std::int16_t>(
-                                                    c)}) == failure.disk) {
-            col = c;
-            break;
-          }
-        }
+        geometry_->stripe_disks(traced.stripe, traced_disks);
+        const auto on_failed = std::find(traced_disks.begin(),
+                                         traced_disks.end(), failure.disk);
+        const int col = on_failed == traced_disks.end()
+                            ? -1
+                            : static_cast<int>(on_failed -
+                                               traced_disks.begin());
         const bool pending = respare_pending_.count(traced.stripe) > 0;
         if (col < 0 && !pending) {
           continue;  // the failed disk holds nothing of this stripe
@@ -855,6 +864,7 @@ __attribute__((hot)) SimMetrics ReconstructionEngine::run(
     }
   }
   metrics.event_queue_regrowths = queue.regrowths();
+  metrics.event_queue_pushes = queue.pushes();
   // Terminal flush: remaining dirty lines reach disk at the time of the
   // last event (app write-backs drain like app traffic — they do not
   // extend the reconstruction makespan).

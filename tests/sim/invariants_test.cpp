@@ -228,5 +228,58 @@ TEST(Invariants, SorDiskReadsMonotoneUnderShrinkingCache) {
   }
 }
 
+TEST(Invariants, ProcessedEventsWereQueuedOrCarried) {
+  // Each event a run loop processes went through the event queue (one push,
+  // one pop) or, in DOR, was carried past it by a service cursor. Checked
+  // on runs with faults, app traffic, a throttle and the write path.
+  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
+  const ArrayGeometry g(l, 10000, /*rotate_columns=*/true,
+                        SparePlacement::Distributed);
+  const auto errors = make_trace(l, 30);
+  workload::AppTraceConfig ac;
+  ac.num_stripes = 10000;
+  ac.num_requests = 300;
+  ac.read_fraction = 0.5;
+  ac.rewrite_fraction = 0.3;
+  ac.mean_interarrival_ms = 0.5;
+  const auto apps = workload::generate_app_trace(l, ac);
+  FaultConfig faults;
+  faults.ure_rate = 0.01;
+  faults.stragglers = 2;  // off-lockstep disks: DOR's cursors then elide
+  faults.straggler_factor = 3.0;
+  faults.disk_failure_times_ms = {150.0};
+  ThrottleConfig throttle;
+  throttle.rebuild_reads_per_sec = 800.0;
+  WritePathConfig write;
+  write.cache_chunks = 32;
+  write.flush_interval_ms = 25.0;
+
+  ReconstructionConfig sc;
+  sc.workers = 4;
+  sc.cache_bytes = 64 * 32 * 1024;
+  sc.seed = 11;
+  sc.faults = faults;
+  sc.throttle = throttle;
+  sc.write = write;
+  const SimMetrics sor = ReconstructionEngine(l, g, sc).run(errors, apps);
+  EXPECT_GT(sor.fault.escalated_stripes, 0u);
+  EXPECT_GT(sor.write.flush_ticks, 0u);
+  EXPECT_EQ(sor.engine_events, sor.event_queue_pushes);
+  EXPECT_EQ(sor.cursor_elided_events, 0u);
+
+  DorConfig dc;
+  dc.cache_bytes = 64 * 32 * 1024;
+  dc.seed = 11;
+  dc.faults = faults;
+  dc.throttle = throttle;
+  dc.write = write;
+  const SimMetrics dor = DorEngine(l, g, dc).run(errors, apps);
+  EXPECT_GT(dor.fault.escalated_stripes, 0u);
+  EXPECT_GT(dor.write.flush_ticks, 0u);
+  EXPECT_GT(dor.cursor_elided_events, 0u);
+  EXPECT_EQ(dor.engine_events,
+            dor.event_queue_pushes + dor.cursor_elided_events);
+}
+
 }  // namespace
 }  // namespace fbf::sim

@@ -271,5 +271,106 @@ TEST(LayoutStrategy, SpareDiskAvoidsHomeAndCoversPool) {
   EXPECT_EQ(static_cast<int>(spare_targets.size()), pool);
 }
 
+/// Colex rank of a sorted k-subset: the sum of C(members[i], i + 1).
+std::uint64_t colex_rank(const std::vector<int>& sorted) {
+  std::uint64_t rank = 0;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    rank += binom_u64(sorted[i], static_cast<int>(i) + 1);
+  }
+  return rank;
+}
+
+TEST(LayoutStrategy, StripeDisksMatchesDiskOfPerColumn) {
+  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
+  const int k = l.cols();
+  const std::uint64_t stripes = std::uint64_t{1} << 41;
+  std::vector<std::pair<LayoutStrategy, int>> shapes{
+      {LayoutStrategy::Naive, k},       {LayoutStrategy::Rotate, k},
+      {LayoutStrategy::Rotate, k + 5},  {LayoutStrategy::D3, k + 4},
+      {LayoutStrategy::D3, k + 13}};
+  for (int pool : {k, k + 1, 12, 24, 33, 64}) {
+    shapes.emplace_back(LayoutStrategy::TDesignDecluster, pool);
+  }
+  std::vector<int> map(static_cast<std::size_t>(k));
+  for (const auto& [strategy, pool] : shapes) {
+    const ArrayGeometry g(l, stripes, strategy, pool);
+    const std::uint64_t blocks = binom_u64(pool, k);
+    std::vector<std::uint64_t> probes{0, 1, 7, 1000};
+    if (strategy == LayoutStrategy::TDesignDecluster) {
+      // Both sides of the first design sweeps' boundaries.
+      for (std::uint64_t sweep : {1u, 2u, 3u}) {
+        probes.push_back(sweep * blocks - 1);
+        probes.push_back(sweep * blocks);
+      }
+    }
+    for (std::uint64_t near : {std::uint64_t{1} << 40,
+                               (std::uint64_t{1} << 40) + 12345}) {
+      probes.push_back(near - 1);
+      probes.push_back(near);
+    }
+    for (const std::uint64_t s : probes) {
+      g.stripe_disks(s, map);
+      const std::string context = std::string(to_string(strategy)) +
+                                  " pool=" + std::to_string(pool) +
+                                  " stripe=" + std::to_string(s);
+      for (int c = 0; c < k; ++c) {
+        for (int r : {0, l.rows() - 1}) {
+          ASSERT_EQ(map[static_cast<std::size_t>(c)], g.disk_of(s, cell(r, c)))
+              << context << " col " << c;
+        }
+      }
+      if (strategy == LayoutStrategy::TDesignDecluster) {
+        // Independent of the unrank: the block is the k-subset whose colex
+        // rank is the stripe's position in its sweep, rotated by the
+        // stripe.
+        std::vector<int> sorted = map;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(colex_rank(sorted), s % blocks) << context;
+        for (int c = 0; c < k; ++c) {
+          ASSERT_EQ(map[static_cast<std::size_t>(c)],
+                    sorted[(static_cast<std::uint64_t>(c) + s) %
+                           static_cast<std::uint64_t>(k)])
+              << context << " col " << c;
+        }
+      }
+    }
+  }
+  const ArrayGeometry g(l, 10, LayoutStrategy::Rotate, k);
+  std::vector<int> short_map(static_cast<std::size_t>(k - 1));
+  EXPECT_THROW(g.stripe_disks(0, short_map), util::CheckError);
+}
+
+TEST(LayoutStrategy, SpareDiskFromHomeMatchesSpareDiskOf) {
+  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
+  const int k = l.cols();
+  for (SparePlacement spare :
+       {SparePlacement::SameDisk, SparePlacement::Distributed}) {
+    for (const auto& [strategy, pool] :
+         std::vector<std::pair<LayoutStrategy, int>>{
+             {LayoutStrategy::Naive, k},
+             {LayoutStrategy::Rotate, k + 3},
+             {LayoutStrategy::TDesignDecluster, 24},
+             {LayoutStrategy::D3, 12}}) {
+      const ArrayGeometry g(l, 5000, strategy, pool, spare);
+      for (std::uint64_t s : {0u, 1u, 17u, 4999u}) {
+        for (int ci = 0; ci < l.num_cells(); ++ci) {
+          const Cell c = l.cell_at(ci);
+          const int home = g.disk_of(s, c);
+          const int from_home = g.spare_disk_from(home, s, c.row);
+          ASSERT_EQ(from_home, g.spare_disk_of(s, c))
+              << to_string(strategy) << " stripe=" << s;
+          if (spare == SparePlacement::SameDisk) {
+            ASSERT_EQ(from_home, home);
+          } else {
+            ASSERT_NE(from_home, home);
+          }
+          ASSERT_EQ(g.spare_lba_from(home, g.lba_of(s, c)),
+                    g.spare_lba_of(s, c));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fbf::sim
