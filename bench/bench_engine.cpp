@@ -40,8 +40,7 @@ struct Row {
   int errors = 0;
   std::uint64_t stripes = 0;
   std::uint64_t events = 0;
-  std::uint64_t pushes = 0;  ///< events that went through the heap
-  std::uint64_t elided = 0;  ///< DOR events the service cursors carried
+  std::uint64_t pushes = 0;  ///< events that went through the event queue
   double wall_ms = 0.0;  ///< best of --reps
   double stripes_per_sec() const { return 1e3 * double(stripes) / wall_ms; }
   double events_per_sec() const { return 1e3 * double(events) / wall_ms; }
@@ -71,7 +70,6 @@ Row time_engine(const std::string& name, int p, int errors, int reps,
     row.stripes = m.stripes_recovered;
     row.events = m.engine_events;
     row.pushes = m.event_queue_pushes;
-    row.elided = m.cursor_elided_events;
     row.wall_ms = std::min(row.wall_ms, ms);
   }
   return row;
@@ -83,9 +81,9 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
   out << "{\n  \"description\": \"wall_ms is the best of the requested reps; "
          "stripes_per_sec = stripes/wall. events counts processed simulator "
          "events (engine_events); null means the binary under test predates "
-         "the counter, not an event-free run. events = pushes (heap pushes) "
-         "+ elided (DOR events its service cursors carried past the "
-         "heap)\",\n  \"rows\": [\n";
+         "the counter, not an event-free run. pushes counts event-queue "
+         "pushes; with no app traffic every event is pushed once, so "
+         "events = pushes\",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"engine\": \"" << r.engine << "\", \"p\": " << r.p
@@ -96,7 +94,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
     } else {
       out << "null";
     }
-    out << ", \"pushes\": " << r.pushes << ", \"elided\": " << r.elided;
+    out << ", \"pushes\": " << r.pushes;
     out << ", \"wall_ms\": " << fbf::util::fmt_double(r.wall_ms, 3)
         << ", \"stripes_per_sec\": "
         << fbf::util::fmt_double(r.stripes_per_sec(), 1)
@@ -173,12 +171,12 @@ int main(int argc, char** argv) {
 
   util::Table table("Engine-core throughput (best of " +
                     std::to_string(reps) + " reps)");
-  table.headers({"engine", "p", "errors", "events", "pushes", "elided",
-                 "wall_ms", "stripes/s", "events/s"});
+  table.headers({"engine", "p", "errors", "events", "pushes", "wall_ms",
+                 "stripes/s", "events/s"});
   for (const Row& r : rows) {
     table.add_row({r.engine, std::to_string(r.p), std::to_string(r.errors),
                    r.events_known() ? std::to_string(r.events) : "-",
-                   std::to_string(r.pushes), std::to_string(r.elided),
+                   std::to_string(r.pushes),
                    util::fmt_double(r.wall_ms, 1),
                    util::fmt_double(r.stripes_per_sec(), 0),
                    r.events_known() ? util::fmt_double(r.events_per_sec(), 0)

@@ -89,18 +89,19 @@ class DorEngine {
             const DorConfig& config);
 
   /// Simulates recovery of all damaged stripes, plus optional foreground
-  /// application traffic mirroring SOR's: arrivals ride the bulk shard of
-  /// the event queue and are served by the shared ForegroundServer
-  /// (foreground.h — parking, spare remap, RMW, deadlines). App requests
-  /// bypass the recovery buffer (it holds chain members mid-fold, not user
-  /// data), so the consumption-accounting laws are untouched. A stripe
+  /// application traffic mirroring SOR's: arrivals stream in beside the
+  /// event window in arrival order and are served by the shared
+  /// ForegroundServer (foreground.h — parking, spare remap, RMW,
+  /// deadlines). App requests bypass the recovery buffer (it holds chain
+  /// members mid-fold, not user data), so the consumption-accounting laws
+  /// are untouched. A stripe
   /// counts as repaired — releasing its parked requests — when the last of
   /// its traced losses has a persisted spare copy.
   ///
-  /// The loop (DESIGN §14): per-disk service cursors elide heap traffic
-  /// for reads that are provably next, dense chunk ids replace a hash map,
-  /// completions touch the cache in one batch, and installs batch between
-  /// cache reads.
+  /// The loop (DESIGN §14): pending events wait in a sorted window that
+  /// lets the loop prefetch several pops ahead, dense chunk ids replace a
+  /// hash map, completions touch the cache in one batch, and installs
+  /// batch between cache reads.
   SimMetrics run(const std::vector<workload::StripeError>& errors,
                  const std::vector<workload::AppRequest>& app_trace = {});
 

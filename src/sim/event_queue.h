@@ -1,19 +1,28 @@
-// Sharded discrete-event queue: per-shard binary min-heaps merged by an
-// N-way tournament tree over the shard heads.
+// Discrete-event queues for the two engines. Both key events by a
+// (time, seq) pair whose comparator is a strict total order (seq is
+// unique), so *any* correct min-queue pops the exact same global event
+// sequence, and each engine picks the layout that suits its pending set.
 //
-// Both engines key events by a (time, seq) pair whose comparator is a
-// strict total order (seq is unique), so *any* correct min-queue pops the
-// exact same global event sequence. Sharding exploits the engines'
-// structure: SOR holds at most one pending event per worker and DOR at
-// most one in-flight read per disk, so most shards are one-element heaps
-// whose push/pop is O(1) and the only log factor is the tournament replay
-// over shard heads — empty shards cost nothing. A bulk shard absorbs the
-// event classes without a per-entity invariant (app arrivals, spare
-// writes, disk failures). With one shard the queue is a plain binary heap;
-// the unit tests hold every shard count to the pop order of a reference
+// ShardedEventQueue (SOR): per-shard binary min-heaps merged by an N-way
+// tournament tree over the shard heads. SOR holds at most one pending
+// event per worker, spread over many timestamps, so most shards are
+// one-element heaps whose push/pop is O(1) and the only log factor is the
+// tournament replay over shard heads — empty shards cost nothing. A bulk
+// shard absorbs the event classes without a per-entity invariant (app
+// arrivals, disk failures). With one shard the queue is a plain binary
+// heap.
+//
+// EventWindow (DOR): one vector kept sorted in pop order. DOR's pending
+// set is small (one read per disk plus in-flight spare writes) and nearly
+// every push lands at its tail, because fixed-latency disks complete in
+// lockstep; an insertion scan from the tail then costs one compare, and
+// the sorted layout lets the engine look several pops ahead.
+//
+// The unit tests hold both queues to the pop order of a reference
 // std::priority_queue.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -86,10 +95,7 @@ class ShardedEventQueue {
   }
 
   /// The globally earliest event without removing it: the tournament
-  /// winner's cached head, so O(1) with no heap traffic. The DOR service
-  /// cursors lean on this — an engine that just computed an event's
-  /// timestamp can peek to learn whether anything else is due first and,
-  /// if not, process the event inline without ever pushing it.
+  /// winner's cached head, so O(1) with no heap traffic.
   const Event& peek() const {
     FBF_CHECK(size_ > 0, "peek at empty event queue");
     return heads_[tree_[1]];
@@ -156,6 +162,87 @@ class ShardedEventQueue {
   std::size_t leaves_ = 1;
   std::vector<std::uint32_t> tree_;
   std::size_t size_ = 0;
+  std::uint64_t regrowths_ = 0;
+  std::uint64_t pushes_ = 0;
+};
+
+/// Min-queue over `Event`s (`operator>` a strict total order, as above)
+/// stored as one vector sorted in pop order, live from a head index. A
+/// push scans back from the tail to its place; a pop advances the head.
+/// The spent prefix is reclaimed once it is at least as long as the live
+/// tail (the Reader::take idiom in dor_engine.cpp), so the window only
+/// ever touches about twice its peak occupancy, however large its
+/// reservation. Not thread-safe.
+template <typename Event>
+class EventWindow {
+ public:
+  /// Grows the reservation by `n` events. Additive so callers can account
+  /// independent event classes separately.
+  void reserve(std::size_t n) {
+    reserved_ += n;
+    events_.reserve(reserved_);
+  }
+
+  void push(const Event& ev) {
+    ++pushes_;
+    if (events_.size() == events_.capacity()) {
+      if (head_ > 0) {
+        reclaim();  // room behind the head: no growth needed
+      } else {
+        ++regrowths_;  // reservation breached: vector growth (amortized)
+      }
+    }
+    std::size_t i = events_.size();
+    events_.push_back(ev);
+    while (i > head_ && events_[i - 1] > ev) {
+      events_[i] = events_[i - 1];
+      --i;
+    }
+    events_[i] = ev;
+  }
+
+  bool empty() const { return head_ == events_.size(); }
+  std::size_t size() const { return events_.size() - head_; }
+
+  /// Pops the earliest event. Amortized O(1): a full drain resets for
+  /// free, and a reclaim moves at most as many events as were popped
+  /// since the previous one.
+  Event pop() {
+    FBF_CHECK(!empty(), "pop from empty event window");
+    const Event ev = events_[head_++];
+    if (head_ == events_.size()) {
+      events_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= events_.size()) {
+      reclaim();
+    }
+    return ev;
+  }
+
+  /// The event `k` pops away (0 = the next pop) without removing anything.
+  /// Pushes made before that pop may still land ahead of it.
+  const Event& ahead(std::size_t k) const {
+    FBF_CHECK(k < size(), "lookahead past the end of the event window");
+    return events_[head_ + k];
+  }
+
+  /// Pushes that found the window full with no spent prefix to reclaim
+  /// (each one a vector regrowth). Zero on runs whose bounds are exact.
+  std::uint64_t regrowths() const { return regrowths_; }
+
+  /// Events pushed so far (each one popped once).
+  std::uint64_t pushes() const { return pushes_; }
+
+ private:
+  void reclaim() {
+    events_.erase(events_.begin(),
+                  events_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+
+  std::vector<Event> events_;  ///< [head_, size) live, sorted in pop order
+  std::size_t head_ = 0;
+  std::size_t reserved_ = 0;
   std::uint64_t regrowths_ = 0;
   std::uint64_t pushes_ = 0;
 };

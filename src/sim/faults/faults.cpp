@@ -192,6 +192,16 @@ bool FaultPlan::disk_failed(int disk, double now) const {
   return false;
 }
 
+std::vector<int> FaultPlan::failed_disks_at(double now) const {
+  std::vector<int> failed;
+  for (const DiskFailure& f : disk_failures_) {
+    if (f.at_ms <= now) {
+      failed.push_back(f.disk);
+    }
+  }
+  return failed;
+}
+
 FaultInjector::ReadOutcome FaultInjector::read(Disk& disk, double now,
                                                std::uint64_t lba,
                                                std::uint64_t chunk_key,

@@ -129,6 +129,9 @@ class FaultPlan {
   /// Has `disk` failed at simulated time `now`?
   bool disk_failed(int disk, double now) const;
 
+  /// The disks failed at simulated time `now`, in failure order.
+  std::vector<int> failed_disks_at(double now) const;
+
  private:
   FaultConfig config_;
   int num_disks_;

@@ -161,14 +161,13 @@ struct SimMetrics {
   // implementations. bench_engine reads these directly, the fault tests
   // assert event_queue_regrowths == 0 to pin the reservation bounds, and
   // pin replan_records_scanned to grow linearly with the trace. Every
-  // processed event either went through the queue or was carried past it:
-  // engine_events == event_queue_pushes + cursor_elided_events.
+  // processed event went through the event queue, except DOR's app
+  // arrivals, which stream in beside it: engine_events ==
+  // event_queue_pushes for SOR and event_queue_pushes + app_requests for
+  // DOR.
   std::uint64_t engine_events = 0;  ///< events processed by the run loop
-  std::uint64_t event_queue_pushes = 0;     ///< heap pushes (each one popped)
-  /// DOR events its service cursors carried straight into the next loop
-  /// iteration, skipping the heap push and pop; always 0 for SOR.
-  std::uint64_t cursor_elided_events = 0;
-  std::uint64_t event_queue_regrowths = 0;  ///< pushes past a shard's reserve
+  std::uint64_t event_queue_pushes = 0;     ///< queue pushes (each one popped)
+  std::uint64_t event_queue_regrowths = 0;  ///< pushes past the reservation
   /// Task and chunk records DOR's fault replanner visited (its per-stripe
   /// index walks plus the index's one lazy build); 0 on fault-free runs.
   std::uint64_t replan_records_scanned = 0;

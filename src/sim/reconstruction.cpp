@@ -287,18 +287,6 @@ bool ReconstructionEngine::spared_live(std::uint64_t key, double now) const {
   return it != spared_on_.end() && !fault_plan_->disk_failed(it->second, now);
 }
 
-std::vector<int> ReconstructionEngine::failed_disks_at(double now) const {
-  std::vector<int> failed;
-  if (fault_plan_.has_value()) {
-    for (const DiskFailure& f : fault_plan_->disk_failures()) {
-      if (f.at_ms <= now) {
-        failed.push_back(f.disk);
-      }
-    }
-  }
-  return failed;
-}
-
 void ReconstructionEngine::plan_fault_stripe(
     Worker& w, std::vector<codes::Cell> outstanding, SimMetrics& metrics,
     bool replan, double now) {
@@ -307,7 +295,7 @@ void ReconstructionEngine::plan_fault_stripe(
                     outstanding.end());
   if (!codes::erasure_decodable(*layout_, outstanding)) {
     throw EscalationError(w.stripe, std::move(outstanding),
-                          failed_disks_at(now));
+                          fault_plan_->failed_disks_at(now));
   }
   w.gauss_verified = false;
   const auto t0 = std::chrono::steady_clock::now();

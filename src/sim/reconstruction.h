@@ -158,7 +158,6 @@ class ReconstructionEngine {
                              int disk_id, bool from_spare, double requested,
                              double submit_t, SimMetrics& metrics);
   void verify_gauss_cells(Worker& w);
-  std::vector<int> failed_disks_at(double now) const;
 
   const codes::Layout* layout_;
   const ArrayGeometry* geometry_;

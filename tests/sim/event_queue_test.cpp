@@ -1,13 +1,15 @@
-// Ordering-equivalence tests for the sharded event core. The engines key
-// events by (t, seq) with unique seq — a strict total order — so the
-// sharded queue must pop the exact sequence a single global heap would;
-// the randomized tests here drive both against each other through mixed
-// push/pop streams, and the edge tests pin the one-shard, empty-shard,
-// and reservation-accounting behavior the engines rely on.
+// Ordering-equivalence tests for the event queues. The engines key events
+// by (t, seq) with unique seq — a strict total order — so the sharded
+// queue (SOR) and the sorted event window (DOR) must each pop the exact
+// sequence a single global heap would; the randomized tests here drive
+// them against a std::priority_queue through mixed push/pop streams, and
+// the edge tests pin the one-shard, empty-shard, lookahead and
+// reservation-accounting behavior the engines rely on.
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <vector>
 
@@ -186,8 +188,8 @@ TEST(ShardedEventQueue, PeekReturnsPopWithoutRemoving) {
 }
 
 TEST(ShardedEventQueue, PeekMatchesPopOnRandomizedStreams) {
-  // The DOR service cursors decide elide-vs-push from peek(); it must
-  // agree with pop() at every step of a mixed stream across shard counts.
+  // peek() must agree with pop() at every step of a mixed stream across
+  // shard counts.
   for (const std::size_t shards : {1u, 3u, 8u}) {
     ShardedEventQueue<Event> q(shards);
     util::Rng rng(0x9ee7ull + shards);
@@ -215,6 +217,166 @@ TEST(ShardedEventQueue, PeekAtEmptyIsChecked) {
   q.push(0, Event{1.0, seq++, 0});
   q.pop();
   EXPECT_THROW(q.peek(), util::CheckError);  // drained queue too
+}
+
+/// The reference heap's pending events in pop order.
+std::vector<Event> pop_order(ReferenceHeap ref) {
+  std::vector<Event> out;
+  while (!ref.empty()) {
+    out.push_back(ref.top());
+    ref.pop();
+  }
+  return out;
+}
+
+TEST(EventWindow, StartsEmpty) {
+  EventWindow<Event> q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.pushes(), 0u);
+  EXPECT_EQ(q.regrowths(), 0u);
+}
+
+TEST(EventWindow, TimeTiesBreakBySequence) {
+  // A push lands after every pending event of its time with a lower seq
+  // and before every later one, wherever it enters.
+  EventWindow<Event> q;
+  q.push(Event{2.0, 4, 0});
+  q.push(Event{1.0, 5, 0});
+  q.push(Event{2.0, 1, 0});  // ahead of the seq-4 event of the same time
+  q.push(Event{1.0, 6, 0});
+  q.push(Event{3.0, 0, 0});
+  const std::vector<std::pair<double, std::uint64_t>> want = {
+      {1.0, 5}, {1.0, 6}, {2.0, 1}, {2.0, 4}, {3.0, 0}};
+  for (const auto& [t, seq] : want) {
+    const Event got = q.pop();
+    EXPECT_DOUBLE_EQ(got.t, t);
+    EXPECT_EQ(got.seq, seq);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventWindow, RandomizedMixedStreamMatchesGlobalHeap) {
+  // Timestamps come from a coarse grid, so most pushes tie with pending
+  // events (the lockstep shape of fixed-latency disks); a few are far in
+  // the future and wait out many reclaims; every round drains the window
+  // completely and refills it. Occupancy swings between empty and a few
+  // hundred events, so pops cross the reclaim threshold in both
+  // directions. Checked pop for pop, with ahead() against the reference's
+  // pending order along the way.
+  util::Rng rng(20261018);
+  EventWindow<Event> q;
+  ReferenceHeap ref;
+  std::uint64_t seq = 0;
+  double now = 0.0;
+  for (int round = 0; round < 30; ++round) {
+    const double push_p = rng.uniform_real(0.3, 0.8);
+    for (int step = 0; step < 3000; ++step) {
+      if (ref.empty() || rng.bernoulli(push_p)) {
+        double t = now + static_cast<double>(rng.uniform_int(0, 6));
+        if (rng.bernoulli(0.02)) {
+          t = now + 1e6;  // far future
+        }
+        const Event ev{t, seq++, 0};
+        q.push(ev);
+        ref.push(ev);
+      } else {
+        const Event got = q.pop();
+        ASSERT_DOUBLE_EQ(got.t, ref.top().t) << "round " << round;
+        ASSERT_EQ(got.seq, ref.top().seq) << "round " << round;
+        now = got.t;  // simulated time never goes backwards
+        ref.pop();
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      if (step % 97 == 0) {
+        const std::vector<Event> order = pop_order(ref);
+        for (std::size_t k = 0; k < order.size(); ++k) {
+          ASSERT_EQ(q.ahead(k).seq, order[k].seq) << "k " << k;
+        }
+      }
+    }
+    while (!ref.empty()) {  // drain, then refill next round
+      ASSERT_EQ(q.pop().seq, ref.top().seq);
+      now = ref.top().t;
+      ref.pop();
+    }
+    ASSERT_TRUE(q.empty());
+  }
+  EXPECT_EQ(q.pushes(), seq);
+}
+
+TEST(EventWindow, AheadReturnsTheKthNextPop) {
+  util::Rng rng(0xa4ead);
+  EventWindow<Event> q;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 64; ++i) {
+    q.push(Event{static_cast<double>(rng.uniform_int(0, 9)), seq++, 0});
+  }
+  std::vector<std::uint64_t> seen;
+  for (std::size_t k = 0; k < q.size(); ++k) {
+    seen.push_back(q.ahead(k).seq);
+  }
+  EXPECT_EQ(q.size(), 64u);  // looking ahead consumes nothing
+  for (const std::uint64_t want : seen) {
+    EXPECT_EQ(q.pop().seq, want);
+  }
+}
+
+TEST(EventWindow, ReserveIsAdditiveAndCountsRegrowths) {
+  EventWindow<Event> q;
+  q.reserve(3);
+  q.reserve(2);  // additive: the window now holds 5 without regrowth
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 5; ++i) {
+    q.push(Event{static_cast<double>(i), seq++, 0});
+  }
+  EXPECT_EQ(q.regrowths(), 0u);
+  // A full window with a spent prefix reclaims it instead of growing.
+  EXPECT_DOUBLE_EQ(q.pop().t, 0.0);
+  q.push(Event{9.0, seq++, 0});
+  EXPECT_EQ(q.regrowths(), 0u);
+  // Five live events fill the reservation: the next push breaches it.
+  q.push(Event{9.5, seq++, 0});
+  EXPECT_EQ(q.regrowths(), 1u);
+  EXPECT_EQ(q.pushes(), 7u);
+  for (double want : {1.0, 2.0, 3.0, 4.0, 9.0, 9.5}) {
+    EXPECT_DOUBLE_EQ(q.pop().t, want);
+  }
+  // An unreserved window counts its very first push.
+  EventWindow<Event> bare;
+  bare.push(Event{1.0, 0, 0});
+  EXPECT_EQ(bare.regrowths(), 1u);
+}
+
+TEST(EventWindow, SteadyStateStaysInsideItsReservation) {
+  // A long run whose occupancy never exceeds the reservation never
+  // regrows: the spent prefix is reclaimed as the window slides, however
+  // many events pass through it.
+  EventWindow<Event> q;
+  q.reserve(8);
+  std::uint64_t seq = 0;
+  double now = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    q.push(Event{now + 10.0, seq++, 0});
+  }
+  util::Rng rng(0x5eadu);
+  for (int i = 0; i < 100000; ++i) {
+    now = q.pop().t;
+    const double t = now + static_cast<double>(rng.uniform_int(1, 20));
+    q.push(Event{t, seq++, 0});
+  }
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.regrowths(), 0u);
+}
+
+TEST(EventWindow, PopAndAheadPastTheEndAreChecked) {
+  EventWindow<Event> q;
+  EXPECT_THROW(q.pop(), util::CheckError);
+  EXPECT_THROW(q.ahead(0), util::CheckError);
+  q.push(Event{1.0, 0, 0});
+  EXPECT_THROW(q.ahead(1), util::CheckError);
+  q.pop();
+  EXPECT_THROW(q.pop(), util::CheckError);  // drained window too
 }
 
 }  // namespace

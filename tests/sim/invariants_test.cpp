@@ -228,10 +228,11 @@ TEST(Invariants, SorDiskReadsMonotoneUnderShrinkingCache) {
   }
 }
 
-TEST(Invariants, ProcessedEventsWereQueuedOrCarried) {
+TEST(Invariants, ProcessedEventsWereQueuedOrStreamed) {
   // Each event a run loop processes went through the event queue (one push,
-  // one pop) or, in DOR, was carried past it by a service cursor. Checked
-  // on runs with faults, app traffic, a throttle and the write path.
+  // one pop), except DOR's app arrivals, which stream in beside its event
+  // window. Checked on runs with faults, app traffic, a throttle and the
+  // write path.
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
   const ArrayGeometry g(l, 10000, /*rotate_columns=*/true,
                         SparePlacement::Distributed);
@@ -245,7 +246,7 @@ TEST(Invariants, ProcessedEventsWereQueuedOrCarried) {
   const auto apps = workload::generate_app_trace(l, ac);
   FaultConfig faults;
   faults.ure_rate = 0.01;
-  faults.stragglers = 2;  // off-lockstep disks: DOR's cursors then elide
+  faults.stragglers = 2;
   faults.straggler_factor = 3.0;
   faults.disk_failure_times_ms = {150.0};
   ThrottleConfig throttle;
@@ -265,7 +266,6 @@ TEST(Invariants, ProcessedEventsWereQueuedOrCarried) {
   EXPECT_GT(sor.fault.escalated_stripes, 0u);
   EXPECT_GT(sor.write.flush_ticks, 0u);
   EXPECT_EQ(sor.engine_events, sor.event_queue_pushes);
-  EXPECT_EQ(sor.cursor_elided_events, 0u);
 
   DorConfig dc;
   dc.cache_bytes = 64 * 32 * 1024;
@@ -276,9 +276,8 @@ TEST(Invariants, ProcessedEventsWereQueuedOrCarried) {
   const SimMetrics dor = DorEngine(l, g, dc).run(errors, apps);
   EXPECT_GT(dor.fault.escalated_stripes, 0u);
   EXPECT_GT(dor.write.flush_ticks, 0u);
-  EXPECT_GT(dor.cursor_elided_events, 0u);
-  EXPECT_EQ(dor.engine_events,
-            dor.event_queue_pushes + dor.cursor_elided_events);
+  EXPECT_EQ(dor.app_requests, apps.size());
+  EXPECT_EQ(dor.engine_events, dor.event_queue_pushes + dor.app_requests);
 }
 
 }  // namespace
