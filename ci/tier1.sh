@@ -233,9 +233,11 @@ sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)'; then
   fi
 }
 
+# Builds and tests run one job per core: a bare -j starts every target at
+# once, and the compilers alone can then exhaust memory.
 cmake -B build -S .
-cmake --build build -j
-ctest --test-dir build --output-on-failure -j
+cmake --build build -j"$(nproc)"
+ctest --test-dir build --output-on-failure -j"$(nproc)"
 bench_smoke build
 obs_smoke build
 fault_smoke build
@@ -245,8 +247,8 @@ layout_smoke build
 suite_smoke build
 
 cmake -B build-scalar -S . -DFBF_ENABLE_SIMD=OFF
-cmake --build build-scalar -j
-ctest --test-dir build-scalar --output-on-failure -j
+cmake --build build-scalar -j"$(nproc)"
+ctest --test-dir build-scalar --output-on-failure -j"$(nproc)"
 bench_smoke build-scalar
 obs_smoke build-scalar
 fault_smoke build-scalar
@@ -255,8 +257,8 @@ write_smoke build-scalar
 layout_smoke build-scalar
 
 cmake -B build-asan -S . -DFBF_SANITIZE=ON
-cmake --build build-asan -j
-ctest --test-dir build-asan --output-on-failure -j
+cmake --build build-asan -j"$(nproc)"
+ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 bench_smoke build-asan
 obs_smoke build-asan
 fault_smoke build-asan

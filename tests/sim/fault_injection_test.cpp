@@ -213,7 +213,7 @@ TEST_P(FaultReplay, BeyondBudgetAbortsWithStructuredDiagnostic) {
 }
 
 TEST(FaultEventQueue, ReservationsHoldUnderFaultLoad) {
-  // The sharded event queues reserve for the fault path up front (disk
+  // Both engines' event queues reserve for the fault path up front (disk
   // failures, escalation targets, a replan slab); a regrowth under this
   // URE + transient + straggler + disk-failure load means a bound is
   // wrong. Direct engine runs, because the regrowth counter is engine
