@@ -27,6 +27,33 @@ std::string obs_run_label(const ExperimentConfig& config) {
   return out;
 }
 
+sim::EngineConfig engine_config(const ExperimentConfig& config) {
+  sim::EngineConfig ec;
+  ec.scheme = config.scheme;
+  ec.policy = config.policy;
+  ec.cache_bytes = config.cache_bytes;
+  ec.chunk_bytes = config.chunk_bytes;
+  ec.cache_access_ms = config.cache_access_ms;
+  ec.xor_ms_per_chunk = config.xor_ms_per_chunk;
+  ec.disk.kind = config.disk_model;
+  ec.disk.read_ms = config.disk_access_ms;
+  ec.disk.write_ms = config.disk_access_ms;
+  ec.seed = config.seed;
+  ec.faults = config.faults;
+  ec.throttle = config.recovery_throttle;
+  ec.write.cache_chunks = config.write_cache_chunks;
+  ec.write.flush_interval_ms = config.write_flush_ms;
+  ec.write.retain_favorable = config.write_retain_favorable;
+  ec.write.policy = config.policy;  // write cache mirrors the read policy
+  ec.write.cache_access_ms = config.cache_access_ms;
+  ec.verify_data = config.verify_data;
+  if (config.obs != nullptr) {
+    ec.observer = config.obs;
+    ec.obs_label = obs_run_label(config);
+  }
+  return ec;
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   const codes::Layout layout = codes::make_layout(config.code, config.p);
   const sim::ArrayGeometry geometry(layout, config.num_stripes,
@@ -54,58 +81,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     app_trace = workload::generate_app_trace(layout, app_cfg);
   }
 
-  sim::WritePathConfig write_cfg;
-  write_cfg.cache_chunks = config.write_cache_chunks;
-  write_cfg.flush_interval_ms = config.write_flush_ms;
-  write_cfg.retain_favorable = config.write_retain_favorable;
-  write_cfg.policy = config.policy;  // write cache mirrors the read policy
-  write_cfg.cache_access_ms = config.cache_access_ms;
-
   sim::SimMetrics m;
+  const sim::EngineConfig shared = engine_config(config);
   if (config.engine == EngineKind::Dor) {
-    sim::DorConfig dc;
-    dc.scheme = config.scheme;
-    dc.policy = config.policy;
-    dc.cache_bytes = config.cache_bytes;
-    dc.chunk_bytes = config.chunk_bytes;
-    dc.cache_access_ms = config.cache_access_ms;
-    dc.xor_ms_per_chunk = config.xor_ms_per_chunk;
-    dc.disk.kind = config.disk_model;
-    dc.disk.read_ms = config.disk_access_ms;
-    dc.disk.write_ms = config.disk_access_ms;
-    dc.seed = config.seed;
-    dc.faults = config.faults;
-    dc.throttle = config.recovery_throttle;
-    dc.write = write_cfg;
-    dc.verify_data = config.verify_data;
-    if (config.obs != nullptr) {
-      dc.observer = config.obs;
-      dc.obs_label = obs_run_label(config);
-    }
-    sim::DorEngine engine(layout, geometry, dc);
+    sim::DorEngine engine(layout, geometry, sim::DorConfig(shared));
     m = engine.run(errors, app_trace);
   } else {
-    sim::ReconstructionConfig rc;
-    rc.scheme = config.scheme;
-    rc.policy = config.policy;
-    rc.cache_bytes = config.cache_bytes;
-    rc.chunk_bytes = config.chunk_bytes;
+    sim::ReconstructionConfig rc(shared);
     rc.workers = config.workers;
-    rc.cache_access_ms = config.cache_access_ms;
-    rc.xor_ms_per_chunk = config.xor_ms_per_chunk;
-    rc.disk.kind = config.disk_model;
-    rc.disk.read_ms = config.disk_access_ms;
-    rc.disk.write_ms = config.disk_access_ms;
     rc.memoize_schemes = config.memoize_schemes;
-    rc.verify_data = config.verify_data;
-    rc.seed = config.seed;
-    rc.faults = config.faults;
-    rc.throttle = config.recovery_throttle;
-    rc.write = write_cfg;
-    if (config.obs != nullptr) {
-      rc.observer = config.obs;
-      rc.obs_label = obs_run_label(config);
-    }
     sim::ReconstructionEngine engine(layout, geometry, rc);
     m = engine.run(errors, app_trace);
   }

@@ -4,20 +4,15 @@
 #include <memory>
 #include <numeric>
 #include <optional>
-#include <span>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "codes/codec.h"
-#include "codes/xor_kernels.h"
 #include "obs/observer.h"
-#include "obs/registry.h"
 #include "recovery/scheme.h"
 #include "sim/event_queue.h"
 #include "sim/key_id_map.h"
-#include "sim/validate.h"
 #include "util/check.h"
 #include "util/hugepage.h"
 
@@ -156,12 +151,9 @@ struct Reader {
   }
 };
 
-/// verify_data mode: ground truth and in-progress bytes for one stripe
-/// (mirrors SOR's Worker::truth/working, same per-stripe seed).
-struct VerifyState {
-  std::unique_ptr<codes::StripeData> truth;
-  std::unique_ptr<codes::StripeData> working;
-};
+/// DOR's disk-seed multiplier (RunContext): SOR's differs, and the
+/// detailed disk model's results depend on it.
+constexpr std::uint64_t kDorDiskSeed = 0x9e3779b97f4a7c15ull;
 
 }  // namespace
 
@@ -178,33 +170,17 @@ DorEngine::DorEngine(const codes::Layout& layout,
 
 SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
                           const std::vector<workload::AppRequest>& app_trace) {
-  SimMetrics metrics;
-  obs::Histogram response_hist;
-  obs::Histogram* response_hist_ptr =
-      config_.observer != nullptr ? &response_hist : nullptr;
-
-  std::optional<FaultPlan> fault_plan;
-  std::optional<FaultInjector> injector;
-  if (config_.faults.enabled()) {
-    fault_plan.emplace(config_.faults, config_.seed, config_.obs_label,
-                       geometry_->num_disks());
-    injector.emplace(*fault_plan, metrics.fault);
-  }
-
-  DiskParams dp = config_.disk;
-  dp.chunk_bytes = config_.chunk_bytes;
-  dp.capacity_chunks = geometry_->disk_capacity_chunks();
-  std::vector<Disk> disks;
-  disks.reserve(static_cast<std::size_t>(geometry_->num_disks()));
-  for (int d = 0; d < geometry_->num_disks(); ++d) {
-    DiskParams per_disk = dp;
-    if (fault_plan.has_value()) {
-      per_disk.service_multiplier = fault_plan->service_multiplier(d);
-    }
-    disks.emplace_back(d, per_disk,
-                       config_.seed * 0x9e3779b97f4a7c15ull +
-                           static_cast<std::uint64_t>(d));
-  }
+  // Chunk records and the key map that resolves them (see ensure_key_map
+  // below). Declared before the run context: the foreground server asks
+  // them where a spare copy landed.
+  std::vector<ChunkInfo> chunks;
+  KeyIdMap key_map(0);
+  RunContext ctx(*layout_, *geometry_, config_, kDorDiskSeed, errors,
+                 app_trace, [&key_map, &chunks](std::uint64_t key) {
+                   const std::uint32_t id = key_map.find(key);
+                   return id != kNoId ? chunks[id].spare_disk : -1;
+                 });
+  SimMetrics& metrics = ctx.metrics;
   const auto cache =
       cache::make_policy(config_.policy, config_.cache_capacity_chunks());
 
@@ -212,7 +188,6 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   // Chunks get dense u32 ids on first sight (KeyIdMap resolves keys), so
   // the hot loop indexes a flat vector instead of hashing into an
   // unordered_map on every event, waiter wake, and re-read.
-  recovery::SchemeCache scheme_cache(*layout_);
   std::optional<obs::PhaseTimer> plan_timer;
   if (config_.observer != nullptr) {
     plan_timer.emplace(config_.observer, "dor_plan");
@@ -223,13 +198,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   std::size_t total_steps = 0;
   std::size_t total_refs = 0;
   for (const workload::StripeError& err : errors) {
-    const auto before = scheme_cache.misses();
-    schemes.push_back(scheme_cache.get(err.error, config_.scheme));
-    if (scheme_cache.misses() > before) {
-      ++metrics.schemes_generated;
-    } else {
-      ++metrics.scheme_cache_hits;
-    }
+    schemes.push_back(ctx.lookup_scheme(err.error, config_.scheme));
     total_steps += schemes.back()->steps.size();
     for (const recovery::RecoveryStep& step : schemes.back()->steps) {
       total_refs += layout_->chain(step.chain_id).cells.size() - 1;
@@ -237,12 +206,11 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   }
 
   std::vector<ChainTask> tasks;
-  std::vector<ChunkInfo> chunks;
   std::vector<Member> member_arena;
   std::vector<std::uint64_t> await_arena;
   std::vector<codes::Cell> gauss_arena;
   std::vector<WaiterLink> waiter_links;
-  std::vector<Reader> readers(disks.size());
+  std::vector<Reader> readers(ctx.disks.size());
   tasks.reserve(total_steps);
   chunks.reserve(total_refs + total_steps);
   member_arena.reserve(total_refs);
@@ -279,14 +247,13 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     }
   };
 
-  // Global key -> dense id map, built LAZILY. Planning dedups chunks with
-  // a per-stripe cell table (chains only ever share cells inside their
-  // own stripe), and fault-free runs carry every id they need on the task
-  // and chunk records — so the common path never pays for a table that
-  // spans tens of megabytes and eats one random DRAM write per chunk.
+  // The global key -> dense id map is built LAZILY. Planning dedups chunks
+  // with a per-stripe cell table (chains only ever share cells inside
+  // their own stripe), and fault-free runs carry every id they need on the
+  // task and chunk records — so the common path never pays for a table
+  // that spans tens of megabytes and eats one random DRAM write per chunk.
   // The fault and foreground paths, which genuinely resolve arbitrary
   // keys mid-run, build it once from the chunk arena on first use.
-  KeyIdMap key_map(0);
   bool key_map_built = false;
   auto ensure_key_map = [&] {
     if (key_map_built) {
@@ -392,10 +359,25 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
                                  : await_arena[task.await_off + (pos >> 6)];
   };
 
-  // verify_data: per-stripe truth/working bytes (seeded exactly like
-  // SOR's verify mode so the two engines verify the same stripe images).
+  /// A task recovering `step.target` of `stripe` through its chain, at
+  /// the target's priority in `scheme`; members are the caller's.
+  auto chain_task = [this](std::uint64_t stripe,
+                           const recovery::RecoveryStep& step,
+                           const recovery::RecoveryScheme& scheme) {
+    ChainTask task;
+    task.stripe = stripe;
+    task.target = step.target;
+    task.chain_id = static_cast<std::int16_t>(step.chain_id);
+    task.target_priority = std::max<std::uint8_t>(
+        scheme.priority[static_cast<std::size_t>(
+            layout_->cell_index(step.target))],
+        1);
+    return task;
+  };
+
+  // verify_data: per-stripe truth/working bytes.
   const bool verify_on = config_.verify_data;
-  std::unordered_map<std::uint64_t, VerifyState> verify_states;
+  std::unordered_map<std::uint64_t, VerifyImages> verify_states;
   if (verify_on) {
     verify_states.reserve(errors.size());
   }
@@ -411,28 +393,17 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
       lost[static_cast<std::size_t>(layout_->cell_index(c))] = true;
     }
     if (verify_on) {
-      auto [vit, vfresh] = verify_states.try_emplace(err.stripe);
+      auto [vit, vfresh] = verify_states.try_emplace(
+          err.stripe, *layout_, config_.verify_chunk_bytes);
       if (vfresh) {
-        vit->second.truth = std::make_unique<codes::StripeData>(
-            *layout_, config_.verify_chunk_bytes);
-        vit->second.truth->fill_random(0x5eedull ^ err.stripe);
-        codes::encode(*vit->second.truth);
-        vit->second.working =
-            std::make_unique<codes::StripeData>(*vit->second.truth);
+        vit->second.reset(err.stripe);
       }
       for (const codes::Cell& c : err.error.cells()) {
-        vit->second.working->erase(c);
+        vit->second.erase(c);
       }
     }
     for (const recovery::RecoveryStep& step : scheme.steps) {
-      ChainTask task;
-      task.stripe = err.stripe;
-      task.target = step.target;
-      task.chain_id = static_cast<std::int16_t>(step.chain_id);
-      const auto tidx =
-          static_cast<std::size_t>(layout_->cell_index(step.target));
-      task.target_priority =
-          std::max<std::uint8_t>(scheme.priority[tidx], 1);
+      ChainTask task = chain_task(err.stripe, step, scheme);
       const auto& cells = layout_->chain(step.chain_id).cells;
       task.mem_off = static_cast<std::uint32_t>(member_arena.size());
       task.await_words =
@@ -466,7 +437,9 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
       task.mem_len = pos;
       task.n_members = pos;
       task.awaiting_count = pos;
-      const auto [tid, tfresh] = plan_chunk(err.stripe, step.target, tidx);
+      const auto [tid, tfresh] = plan_chunk(
+          err.stripe, step.target,
+          static_cast<std::size_t>(layout_->cell_index(step.target)));
       task.target_id = tid;
       if (tfresh) {
         ChunkInfo& ci = chunks[tid];
@@ -489,27 +462,10 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   }
   plan_timer.reset();  // planning phase ends here
 
-  // ---- Foreground traffic. ----
-  std::optional<FaultInjector> app_injector;
-  if (fault_plan.has_value() && !app_trace.empty()) {
-    app_injector.emplace(*fault_plan, metrics.app_fault);
-  }
   if (!app_trace.empty()) {
     // Foreground reads probe arbitrary keys, so they need the global map;
     // pure-recovery runs (the common benchmark shape) never build it.
     ensure_key_map();
-  }
-  ForegroundServer foreground(
-      *layout_, *geometry_, disks, errors, app_trace, metrics,
-      app_injector.has_value() ? &*app_injector : nullptr,
-      [&key_map, &chunks](std::uint64_t key) {
-        const std::uint32_t id = key_map.find(key);
-        return id != kNoId ? chunks[id].spare_disk : -1;
-      },
-      config_.write);
-  std::optional<RebuildThrottle> throttle;
-  if (config_.throttle.enabled()) {
-    throttle.emplace(config_.throttle);
   }
 
   // ---- Event loop. ----
@@ -542,12 +498,11 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   // The regrowth counter (asserted zero by the fault tests) pins these
   // bounds.
   EventWindow<Event> queue;
-  const bool flush_ticks_on =
-      foreground.write_path_active() && config_.write.flush_interval_ms > 0.0;
+  const bool flush_ticks_on = ctx.flush_ticks_on;
   {
     std::size_t bound = readers.size() + tasks.size();
-    if (fault_plan.has_value()) {
-      const std::size_t failures = fault_plan->disk_failures().size();
+    if (ctx.fault_plan.has_value()) {
+      const std::size_t failures = ctx.disk_failures().size();
       bound += failures;  // the DiskFail events themselves
       // Escalation: each failure re-targets at most one column of every
       // traced stripe.
@@ -588,94 +543,25 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   std::vector<std::uint8_t> touch_pris;
   std::vector<std::uint64_t> touch_hits;
 
-  // verify_data scratch.
-  std::vector<std::span<const std::byte>> fold_srcs;
-  /// Rebuilds `task.target` in the stripe's working image by folding its
-  /// chain, then checks it against the truth image at once.
-  auto verify_chain_fold = [&](const ChainTask& task) {
-    VerifyState& vs = verify_states.at(task.stripe);
-    fold_srcs.clear();
-    for (const codes::Cell& c : layout_->chain(task.chain_id).cells) {
-      if (c != task.target) {
-        fold_srcs.push_back(vs.working->chunk(c));
-      }
-    }
-    const auto out = vs.working->chunk(task.target);
-    codes::xor_fold(out, fold_srcs);
-    const auto expected = vs.truth->chunk(task.target);
-    FBF_CHECK(std::equal(out.begin(), out.end(), expected.begin()),
-              "recovered chunk " + codes::to_string(task.target) +
-                  " does not match the original in stripe " +
-                  std::to_string(task.stripe));
-  };
-  /// Gauss tasks solve the whole pattern, then check every target.
-  auto verify_gauss_task = [&](const ChainTask& task) {
-    VerifyState& vs = verify_states.at(task.stripe);
-    const std::vector<codes::Cell> targets(
-        gauss_arena.begin() + task.gauss_off,
-        gauss_arena.begin() + task.gauss_off + task.gauss_len);
-    const codes::DecodeResult res = codes::decode_erasures(
-        *vs.working, targets, codes::DecodeMethod::GaussOnly);
-    FBF_CHECK(res.ok, "Gauss fallback could not solve stripe " +
-                          std::to_string(task.stripe));
-    for (const codes::Cell& c : targets) {
-      const auto out = vs.working->chunk(c);
-      const auto expected = vs.truth->chunk(c);
-      FBF_CHECK(std::equal(out.begin(), out.end(), expected.begin()),
-                "Gauss-recovered chunk " + codes::to_string(c) +
-                    " does not match the original in stripe " +
-                    std::to_string(task.stripe));
-    }
-  };
-  /// Fault path: `cell` of `stripe` is (re-)lost — erase it so its
-  /// recovery is honest.
-  auto verify_mark_lost = [&](std::uint64_t stripe, codes::Cell cell) {
-    verify_states.at(stripe).working->erase(cell);
-  };
   /// Fault path: a read settles its outcome at submission, so one in
   /// flight when its copy died (a disk failure) still delivers the
   /// chunk's bytes. They equal the truth: an original copy always does,
   /// and a spare copy was verified when it was recovered.
   auto verify_mark_read = [&](std::uint32_t id) {
     const ChunkInfo& ci = chunks[id];
-    if (!ci.lost || ci.recovered) {
-      return;  // the working bytes are already live
+    if (ci.lost && !ci.recovered) {  // else the working bytes are live
+      verify_states.at(ci.stripe).restore(ci.cell);
     }
-    const VerifyState& vs = verify_states.at(ci.stripe);
-    const auto truth = vs.truth->chunk(ci.cell);
-    std::copy(truth.begin(), truth.end(), vs.working->chunk(ci.cell).begin());
   };
 
   auto submit_planned = [&](std::size_t d, double requested,
                             double submit_t) {
-    Reader& r = readers[d];
-    const PlannedRead read = r.take();
-    double done;
-    bool ok = true;
-    if (injector.has_value()) {
-      const FaultInjector::ReadOutcome rr = injector->read(
-          disks[d], submit_t, read.lba, read.key, !read.spare);
-      done = rr.done_ms;
-      ok = rr.ok;
-      metrics.disk_reads += static_cast<std::uint64_t>(rr.attempts);
-    } else {
-      done = disks[d].submit_read(submit_t, read.lba);
-      ++metrics.disk_reads;
-    }
-    metrics.response_ms.add(done - requested + config_.cache_access_ms);
-    metrics.response_reservoir.add(done - requested +
-                                   config_.cache_access_ms);
-    if (response_hist_ptr != nullptr) {
-      response_hist_ptr->add(done - requested + config_.cache_access_ms);
-    }
-    if (obs::tracing(config_.observer, obs::TraceLevel::Fine)) {
-      obs::trace_span(config_.observer, obs::TraceLevel::Fine, obs::kPidDisks,
-                      static_cast<std::uint32_t>(d), "disk_read", "disk",
-                      submit_t * 1000.0, (done - submit_t) * 1000.0, "stripe",
-                      chunks[read.id].stripe);
-    }
-    queue.push(Event{done, seq++,
-                     ok ? Event::Kind::ReadDone : Event::Kind::ReadFailed,
+    const PlannedRead read = readers[d].take();
+    const RunContext::Read rr = ctx.rebuild_read(
+        static_cast<int>(d), submit_t, read.lba, read.key, !read.spare);
+    ctx.sample_response(rr.done_ms - requested + config_.cache_access_ms);
+    queue.push(Event{rr.done_ms, seq++,
+                     rr.ok ? Event::Kind::ReadDone : Event::Kind::ReadFailed,
                      static_cast<std::uint32_t>(d), read.id});
   };
 
@@ -685,8 +571,8 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
       return;
     }
     r.busy = true;
-    if (throttle.has_value()) {
-      const double grant = throttle->acquire(now);
+    if (ctx.throttle.has_value()) {
+      const double grant = ctx.throttle->acquire(now);
       if (grant > now) {
         r.requested_at = now;
         queue.push(Event{grant, seq++, Event::Kind::ThrottledSubmit,
@@ -697,17 +583,26 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     submit_planned(d, now, now);
   };
 
-  auto enqueue_reread = [&](std::uint32_t id, double now) {
+  /// Disk of a recovered chunk's spare copy: where its write landed, or
+  /// the geometry's choice while none has.
+  auto spare_disk = [this](const ChunkInfo& ci) {
+    return ci.spare_disk >= 0 ? ci.spare_disk
+                              : geometry_->spare_disk_of(ci.stripe, ci.cell);
+  };
+  /// Queues a read of chunk `id`'s live copy (a lost chunk's spare copy,
+  /// else its home copy) on that copy's reader; returns the disk.
+  auto queue_live_read = [&](std::uint32_t id) {
     const ChunkInfo& ci = chunks[id];
     const bool spare = ci.lost;  // recovered chunks live in the spare area
-    const auto d = static_cast<std::size_t>(
-        spare ? (ci.spare_disk >= 0
-                     ? ci.spare_disk
-                     : geometry_->spare_disk_of(ci.stripe, ci.cell))
-              : ci.home_disk);
+    const auto d =
+        static_cast<std::size_t>(spare ? spare_disk(ci) : ci.home_disk);
     const std::uint64_t lba = spare ? spare_lba(ci) : ci.lba;
     readers[d].queue.push_back(PlannedRead{ci.key, lba, id, spare});
-    kick_reader(d, now);
+    return d;
+  };
+
+  auto enqueue_reread = [&](std::uint32_t id, double now) {
+    kick_reader(queue_live_read(id), now);
   };
 
   auto attempt_completion = [&](std::size_t t, double now, cache::Key fresh) {
@@ -769,39 +664,26 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
                     "chain_fold", "xor", now * 1000.0, (xor_done - now) * 1000.0,
                     "stripe", task.stripe);
     if (verify_on) {
+      VerifyImages& images = verify_states.at(task.stripe);
       if (task.gauss_len == 0) {
-        verify_chain_fold(task);
+        images.fold_chain(task.chain_id, task.target);
       } else {
-        verify_gauss_task(task);
+        // Gauss tasks solve the whole pattern, then check every target.
+        images.solve_gauss(std::vector<codes::Cell>(
+            gauss_arena.begin() + task.gauss_off,
+            gauss_arena.begin() + task.gauss_off + task.gauss_len));
       }
     }
     auto write_target = [&](codes::Cell target, std::uint32_t tid) {
       FBF_CHECK(tid != kNoId, "spare write for an unregistered chunk");
-      const int preferred = geometry_->spare_disk_of(task.stripe, target);
-      const auto d = static_cast<std::size_t>(
-          injector.has_value()
-              ? injector->spare_disk(preferred, geometry_->num_disks(),
-                                     xor_done)
-              : preferred);
-      if (injector.has_value() && validation_enabled()) {
-        // spare_disk_of is deliberately fault-agnostic; the injector's
-        // rerouting must keep recovery writes off dead disks.
-        FBF_CHECK(!fault_plan->disk_failed(static_cast<int>(d), xor_done),
-                  "spare write routed to a dead disk");
-      }
-      const double write_done = disks[d].submit_write(
-          xor_done, geometry_->spare_lba_of(task.stripe, target));
-      ++metrics.disk_writes;
-      ++metrics.write.spare_writes;
-      ++metrics.chunks_recovered;
-      obs::trace_span(config_.observer, obs::TraceLevel::Phases,
-                      obs::kPidDisks, static_cast<std::uint32_t>(d),
-                      "spare_write", "disk", xor_done * 1000.0,
-                      (write_done - xor_done) * 1000.0, "stripe", task.stripe);
-      makespan = std::max(makespan, write_done);
+      const RunContext::SpareWrite sw = ctx.spare_write(
+          geometry_->spare_disk_of(task.stripe, target),
+          geometry_->spare_lba_of(task.stripe, target), xor_done,
+          task.stripe);
+      makespan = std::max(makespan, sw.done_ms);
       chunks[tid].write_pending = true;
-      queue.push(Event{write_done, seq++, Event::Kind::SpareWriteDone,
-                       static_cast<std::uint32_t>(d), tid});
+      queue.push(Event{sw.done_ms, seq++, Event::Kind::SpareWriteDone,
+                       static_cast<std::uint32_t>(sw.disk), tid});
     };
     if (task.gauss_len == 0) {
       write_target(task.target, task.target_id);
@@ -911,7 +793,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     }
     if (!codes::erasure_decodable(*layout_, outstanding)) {
       throw EscalationError(stripe, std::move(outstanding),
-                            fault_plan->failed_disks_at(now));
+                            ctx.fault_plan->failed_disks_at(now));
     }
     const recovery::FaultScheme fs =
         recovery::generate_fault_scheme(*layout_, outstanding);
@@ -955,14 +837,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
           await_word(task, static_cast<std::uint32_t>(i)) |=
               std::uint64_t{1} << (i & 63);
           ++task.awaiting_count;
-          const bool spare = ci.lost;
-          const auto d = static_cast<std::size_t>(
-              spare ? (ci.spare_disk >= 0
-                           ? ci.spare_disk
-                           : geometry_->spare_disk_of(stripe, c))
-                    : ci.home_disk);
-          const std::uint64_t lba = spare ? spare_lba(ci) : ci.lba;
-          readers[d].queue.push_back(PlannedRead{key, lba, id, spare});
+          const std::size_t d = queue_live_read(id);
           ++metrics.planned_disk_reads;
           kick_reader(d, now);
         }
@@ -991,14 +866,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
       append_id(live_tasks, static_cast<std::uint32_t>(tindex));
     };
     for (const recovery::RecoveryStep& step : fs.scheme.steps) {
-      ChainTask task;
-      task.stripe = stripe;
-      task.target = step.target;
-      task.chain_id = static_cast<std::int16_t>(step.chain_id);
-      const auto tidx =
-          static_cast<std::size_t>(layout_->cell_index(step.target));
-      task.target_priority =
-          std::max<std::uint8_t>(fs.scheme.priority[tidx], 1);
+      ChainTask task = chain_task(stripe, step, fs.scheme);
       std::vector<codes::Cell> members;
       for (const codes::Cell& c : layout_->chain(step.chain_id).cells) {
         if (!(c == step.target)) {
@@ -1052,7 +920,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     ++metrics.fault.replans;
     ++metrics.fault.extra_lost_chunks;
     if (verify_on) {
-      verify_mark_lost(ci.stripe, ci.cell);
+      verify_states.at(ci.stripe).erase(ci.cell);
     }
     if (ci.lost) {
       ci.recovered = false;  // spare copy unreadable: recover again
@@ -1067,11 +935,9 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   for (std::size_t d = 0; d < readers.size(); ++d) {
     kick_reader(d, 0.0);
   }
-  if (fault_plan.has_value()) {
-    for (const DiskFailure& f : fault_plan->disk_failures()) {
-      queue.push(Event{f.at_ms, seq++, Event::Kind::DiskFail,
-                       static_cast<std::uint32_t>(f.disk), 0});
-    }
+  for (const DiskFailure& f : ctx.disk_failures()) {
+    queue.push(Event{f.at_ms, seq++, Event::Kind::DiskFail,
+                     static_cast<std::uint32_t>(f.disk), 0});
   }
   // App arrivals stream in beside the window instead of through it: a
   // trace of tens of thousands of arrivals would otherwise sit in the
@@ -1193,15 +1059,15 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
         {
           ChunkInfo& ci = chunks[ev.id];
           ci.write_pending = false;
-          if (fault_plan.has_value() &&
-              fault_plan->disk_failed(static_cast<int>(ev.disk), ev.t)) {
+          if (ctx.fault_plan.has_value() &&
+              ctx.fault_plan->disk_failed(static_cast<int>(ev.disk), ev.t)) {
             // The write was in flight when its target disk died: the copy
             // never became durable. Recover the chunk again; waiters are
             // superseded by the replan, so nothing is delivered.
             ++metrics.fault.respared;
             ++metrics.fault.extra_lost_chunks;
             if (verify_on) {
-              verify_mark_lost(ci.stripe, ci.cell);
+              verify_states.at(ci.stripe).erase(ci.cell);
             }
             ci.recovered = false;
             ci.spare_disk = -1;
@@ -1215,7 +1081,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
         deliver(ev.id, ev.t);
         if (!app_trace.empty()) {
           const ChunkInfo& ci = chunks[ev.id];  // re-indexed: deliver may move
-          foreground.on_loss_recovered(ci.stripe, ci.cell, ev.t);
+          ctx.foreground.on_loss_recovered(ci.stripe, ci.cell, ev.t);
         }
         break;
       }
@@ -1226,20 +1092,15 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
         hard_read_failure(ev.id, ev.t);
         break;
       case Event::Kind::DiskFail: {
-        ++metrics.fault.disk_failures;
         const int failed = static_cast<int>(ev.disk);
-        foreground.on_disk_failed(failed, ev.t);
+        ctx.disk_failed(failed, ev.t);
         // Deterministic spare invalidation (DESIGN.md §11's former gap):
         // every spare copy on the failed disk dies with it — whatever
         // column its home was — not just the failed column's cells. The
         // chunk arena scan is index-ordered, hence deterministic.
         std::unordered_set<std::uint64_t> respare_stripes;
         for (ChunkInfo& ci : chunks) {
-          if (!ci.recovered ||
-              (ci.spare_disk >= 0
-                   ? ci.spare_disk
-                   : geometry_->spare_disk_of(ci.stripe, ci.cell)) !=
-                  failed) {
+          if (!ci.recovered || spare_disk(ci) != failed) {
             continue;
           }
           ci.recovered = false;  // spare copy died with the disk
@@ -1247,23 +1108,15 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
           ++metrics.fault.respared;
           ++metrics.fault.extra_lost_chunks;
           if (verify_on) {
-            verify_mark_lost(ci.stripe, ci.cell);
+            verify_states.at(ci.stripe).erase(ci.cell);
           }
           respare_stripes.insert(ci.stripe);
         }
         // Stripes touched only through dead spare copies (no data column
         // on the failed disk — possible once the pool is wider than a
         // stripe) replan as an escalation pass too.
-        std::vector<int> traced_disks(
-            static_cast<std::size_t>(layout_->cols()));
         for (const workload::StripeError& traced : errors) {
-          geometry_->stripe_disks(traced.stripe, traced_disks);
-          const auto on_failed =
-              std::find(traced_disks.begin(), traced_disks.end(), failed);
-          const int col = on_failed == traced_disks.end()
-                              ? -1
-                              : static_cast<int>(on_failed -
-                                                 traced_disks.begin());
+          const int col = ctx.column_on(traced.stripe, failed);
           if (col < 0 && respare_stripes.count(traced.stripe) == 0) {
             continue;  // the failed disk holds nothing of this stripe
           }
@@ -1282,7 +1135,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
               ci.lost = true;  // original copy was homed on the dead disk
               ++metrics.fault.extra_lost_chunks;
               if (verify_on) {
-                verify_mark_lost(traced.stripe, cell);
+                verify_states.at(traced.stripe).erase(cell);
               }
             }
           }
@@ -1291,14 +1144,14 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
         break;
       }
       case Event::Kind::AppArrival:
-        foreground.on_arrival(static_cast<std::size_t>(ev.id), ev.t);
+        ctx.foreground.on_arrival(static_cast<std::size_t>(ev.id), ev.t);
         break;
       case Event::Kind::ThrottledSubmit:
         submit_planned(ev.disk, readers[ev.disk].requested_at, ev.t);
         break;
       case Event::Kind::FlushTick:
         // Re-arm while anything else is pending, arrivals included.
-        foreground.on_flush_tick(ev.t);
+        ctx.foreground.on_flush_tick(ev.t);
         if (pending()) {
           queue.push(Event{ev.t + config_.write.flush_interval_ms, seq++,
                            Event::Kind::FlushTick, 0, 0});
@@ -1308,25 +1161,12 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
   }
   FBF_CHECK(tasks_done == tasks.size(),
             "DOR finished with incomplete chains — dependency deadlock");
-  metrics.event_queue_regrowths = queue.regrowths();
-  metrics.event_queue_pushes = queue.pushes();
-  foreground.finalize(last_event_ms);
-  foreground.assert_drained();
   flush_installs();  // trailing deliveries reach the cache before export
-
   metrics.reconstruction_ms = makespan;
   metrics.stripes_recovered =
       errors.size() + metrics.fault.escalated_stripes;
   metrics.cache = cache->stats();
-  for (const Disk& d : disks) {
-    metrics.disk_busy_ms.push_back(d.stats().busy_ms);
-    metrics.disk_ops.push_back(d.stats().reads + d.stats().writes);
-  }
-  if (validation_enabled()) {
-    validate_run(metrics, errors);
-  }
-  record_run(config_.observer, config_.obs_label, metrics, response_hist_ptr);
-  return metrics;
+  return ctx.finish(queue.regrowths(), queue.pushes(), last_event_ms);
 }
 
 }  // namespace fbf::sim

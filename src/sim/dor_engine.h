@@ -22,61 +22,23 @@
 
 #include <vector>
 
-#include "cache/policy.h"
-#include "recovery/scheme_cache.h"
 #include "sim/array_geometry.h"
-#include "sim/disk.h"
-#include "sim/faults/faults.h"
-#include "sim/foreground.h"
 #include "sim/metrics.h"
+#include "sim/run_context.h"
 #include "workload/app_trace.h"
 #include "workload/errors.h"
 
-namespace fbf::obs {
-class RunObserver;
-}  // namespace fbf::obs
-
 namespace fbf::sim {
 
-struct DorConfig {
-  recovery::SchemeKind scheme = recovery::SchemeKind::RoundRobin;
-  cache::PolicyId policy = cache::PolicyId::Fbf;
-
-  std::size_t cache_bytes = 256ull << 20;
-  std::size_t chunk_bytes = 32 * 1024;
-
-  double cache_access_ms = 0.5;
-  double xor_ms_per_chunk = 0.05;
-  DiskParams disk;
-  std::uint64_t seed = 1;
-
-  /// Fault injection (sim/faults). Disabled by default; when
-  /// faults.enabled() is false the engine takes the exact pre-fault code
-  /// path and produces byte-identical metrics.
-  FaultConfig faults;
-
-  /// Recovery throttling (sim/foreground.h): planned/re-read submissions
-  /// draw from a token bucket so foreground traffic sees shorter disk
-  /// queues. Disabled by default (byte-identical to the unthrottled
-  /// engine).
-  ThrottleConfig throttle;
-
-  /// Foreground write path (sim/foreground.h): parity-update planner +
-  /// dirty write-back cache. Disabled by default (byte-identical to the
-  /// legacy synchronous-RMW engine).
-  WritePathConfig write;
-
-  /// Carry real chunk bytes through the recovery and byte-verify every
-  /// recovered chunk against ground truth (mirrors
-  /// ReconstructionConfig::verify_data). Each completed chain folds and
-  /// compares as it completes; Gauss tasks solve via decode_erasures.
-  bool verify_data = false;
-  std::size_t verify_chunk_bytes = 64;
-
-  /// Optional run-level observability sink (not owned); see
-  /// ReconstructionConfig::observer.
-  obs::RunObserver* observer = nullptr;
-  std::string obs_label = "run.dor";
+struct DorConfig : EngineConfig {
+  DorConfig() : DorConfig(EngineConfig{}) {}
+  /// The shared fields from `shared`. DOR has no fields of its own; it
+  /// reads no SOR-only knob (workers, scheme memoization).
+  explicit DorConfig(const EngineConfig& shared) : EngineConfig(shared) {
+    if (obs_label.empty()) {
+      obs_label = "run.dor";
+    }
+  }
 
   std::size_t cache_capacity_chunks() const {
     return cache_bytes / chunk_bytes;

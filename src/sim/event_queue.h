@@ -94,13 +94,6 @@ class ShardedEventQueue {
     return ev;
   }
 
-  /// The globally earliest event without removing it: the tournament
-  /// winner's cached head, so O(1) with no heap traffic.
-  const Event& peek() const {
-    FBF_CHECK(size_ > 0, "peek at empty event queue");
-    return heads_[tree_[1]];
-  }
-
   /// Pushes past a shard's reservation observed so far (each one a vector
   /// regrowth). Zero on runs whose per-shard bounds are exact.
   std::uint64_t regrowths() const { return regrowths_; }

@@ -172,53 +172,6 @@ TEST(ShardedEventQueue, ShardOutOfRangeIsChecked) {
   EXPECT_THROW(q.pop(), util::CheckError);  // empty queue
 }
 
-TEST(ShardedEventQueue, PeekReturnsPopWithoutRemoving) {
-  ShardedEventQueue<Event> q(4);
-  std::uint64_t seq = 0;
-  q.push(2, Event{3.0, seq++, 2});
-  q.push(0, Event{1.0, seq++, 0});
-  q.push(3, Event{2.0, seq++, 3});
-  EXPECT_DOUBLE_EQ(q.peek().t, 1.0);
-  EXPECT_EQ(q.size(), 3u);  // peek must not consume
-  EXPECT_DOUBLE_EQ(q.pop().t, 1.0);
-  EXPECT_DOUBLE_EQ(q.peek().t, 2.0);
-  q.push(1, Event{0.5, seq++, 1});  // a later push can displace the winner
-  EXPECT_DOUBLE_EQ(q.peek().t, 0.5);
-  EXPECT_DOUBLE_EQ(q.pop().t, 0.5);
-}
-
-TEST(ShardedEventQueue, PeekMatchesPopOnRandomizedStreams) {
-  // peek() must agree with pop() at every step of a mixed stream across
-  // shard counts.
-  for (const std::size_t shards : {1u, 3u, 8u}) {
-    ShardedEventQueue<Event> q(shards);
-    util::Rng rng(0x9ee7ull + shards);
-    std::uint64_t seq = 0;
-    for (int i = 0; i < 2000; ++i) {
-      if (q.empty() || rng.bernoulli(0.55)) {
-        const auto shard =
-            static_cast<std::size_t>(rng.uniform_int(
-                0, static_cast<std::int64_t>(shards) - 1));
-        q.push(shard, Event{rng.uniform_real(0.0, 100.0), seq++, 0});
-      } else {
-        const Event expect = q.peek();
-        const Event got = q.pop();
-        ASSERT_DOUBLE_EQ(got.t, expect.t) << "step " << i;
-        ASSERT_EQ(got.seq, expect.seq) << "step " << i;
-      }
-    }
-  }
-}
-
-TEST(ShardedEventQueue, PeekAtEmptyIsChecked) {
-  ShardedEventQueue<Event> q(2);
-  EXPECT_THROW(q.peek(), util::CheckError);
-  std::uint64_t seq = 0;
-  q.push(0, Event{1.0, seq++, 0});
-  q.pop();
-  EXPECT_THROW(q.peek(), util::CheckError);  // drained queue too
-}
-
 /// The reference heap's pending events in pop order.
 std::vector<Event> pop_order(ReferenceHeap ref) {
   std::vector<Event> out;
