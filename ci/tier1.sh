@@ -20,10 +20,10 @@
 # Finally a fault smoke runs a tiny URE x straggler matrix through
 # bench_ext_fault_sweep twice per engine and diffs the CSVs: the fault
 # stream is a pure function of the seed, so any byte of divergence is a
-# determinism regression in the injection layer. A third DOR pair adds a
-# mid-recovery disk failure, so escalation and per-stripe replans are held
-# to the same contract, and its metrics must show an escalated stripe.
-# The DOR loop's exact bytes are pinned by the golden tests
+# determinism regression in the injection layer. A second pair per engine
+# adds a mid-recovery disk failure, so escalation and replans are held to
+# the same contract, and each engine's metrics must show an escalated
+# stripe. Both engines' exact bytes are pinned by the golden tests
 # (tests/integration/golden_metrics_test.cpp). An app smoke does the
 # same for the online-recovery path (foreground traffic, deadlines, and
 # the recovery throttle on both engines, via bench_app_slo), a write
@@ -84,29 +84,32 @@ fault_smoke() {
       exit 1
     }
   done
-  # A whole-disk failure landing mid-recovery: DiskFail -> respare ->
-  # per-stripe replan, diffed the same way; the exported escalation count
-  # proves the leg engaged.
-  local fail_flags=(--engine=dor --errors=8 --workers=4 --csv
-    --ure-rates=0,0.001 --straggler-factors=1,4 --fault-disk-fail-at-ms=200)
-  local run
-  for run in 1 2; do
-    "${build_dir}/bench/bench_ext_fault_sweep" "${fail_flags[@]}" \
-      --metrics-out="${out}/dor_fail${run}.json" >"${out}/dor_fail${run}.csv"
-  done
-  cmp "${out}/dor_fail1.csv" "${out}/dor_fail2.csv" || {
-    echo "fault sweep (dor, disk failure) is not deterministic" >&2
-    exit 1
-  }
-  "${build_dir}/tools/obs_schema_check" "${out}/dor_fail1.json" \
-    --compare="${out}/dor_fail2.json"
-  python3 - "${out}/dor_fail1.json" <<'EOF'
+  # A whole-disk failure landing mid-recovery, on each engine: DiskFail ->
+  # respare -> escalation replans, diffed the same way; the exported
+  # escalation count proves the leg engaged.
+  for engine in sor dor; do
+    local fail_flags=(--engine="$engine" --errors=8 --workers=4 --csv
+      --ure-rates=0,0.001 --straggler-factors=1,4 --fault-disk-fail-at-ms=200)
+    local run
+    for run in 1 2; do
+      "${build_dir}/bench/bench_ext_fault_sweep" "${fail_flags[@]}" \
+        --metrics-out="${out}/${engine}_fail${run}.json" \
+        >"${out}/${engine}_fail${run}.csv"
+    done
+    cmp "${out}/${engine}_fail1.csv" "${out}/${engine}_fail2.csv" || {
+      echo "fault sweep (${engine}, disk failure) is not deterministic" >&2
+      exit 1
+    }
+    "${build_dir}/tools/obs_schema_check" "${out}/${engine}_fail1.json" \
+      --compare="${out}/${engine}_fail2.json"
+    python3 - "${out}/${engine}_fail1.json" "$engine" <<'EOF'
 import json, sys
 escalated = json.load(open(sys.argv[1]))["counters"].get(
     "run.fault.escalated_stripes", 0)
 if escalated <= 0:
-    sys.exit("disk-failure leg never escalated a stripe")
+    sys.exit(sys.argv[2] + " disk-failure leg never escalated a stripe")
 EOF
+  done
 }
 
 # Online-recovery smoke: bench_app_slo drives foreground traffic plus the
