@@ -144,9 +144,9 @@ app_smoke() {
 # and the dirty write-back cache through both engines (legacy RMW and
 # planned columns per grid point) twice with the same seed. The CSVs must
 # be byte-identical, and the exported metrics must pass the schema check —
-# including the run.write.* conservation laws (dirty_installed == flushed +
-# lost_dirty; disk_writes == spare writes + write-backs + parity updates) —
-# and match across the two runs modulo wall_clock.
+# including the write rows of the sim/validate.h law table, whose
+# spare_writes row this mixed document leaves to its write gate — and
+# match across the two runs modulo wall_clock.
 write_smoke() {
   local build_dir="$1"
   local out="${build_dir}/write-smoke"

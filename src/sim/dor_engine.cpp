@@ -912,22 +912,28 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
     }
   };
 
+  // A chunk lost its live copy, so it is rebuilt (again): a survivor joins
+  // the lost set, a recovered chunk drops its spare copy.
+  auto lose_live_copy = [&](ChunkInfo& ci) {
+    ++metrics.fault.extra_lost_chunks;
+    if (verify_on) {
+      verify_states.at(ci.stripe).erase(ci.cell);
+    }
+    if (ci.lost) {
+      ci.recovered = false;
+      ci.spare_disk = -1;
+    } else {
+      ci.lost = true;
+    }
+  };
+
   auto hard_read_failure = [&](std::uint32_t id, double now) {
     ChunkInfo& ci = chunks[id];
     if (ci.lost && !ci.recovered) {
       return;  // already pending recovery: a stale queued read drained
     }
     ++metrics.fault.replans;
-    ++metrics.fault.extra_lost_chunks;
-    if (verify_on) {
-      verify_states.at(ci.stripe).erase(ci.cell);
-    }
-    if (ci.lost) {
-      ci.recovered = false;  // spare copy unreadable: recover again
-      ci.spare_disk = -1;
-    } else {
-      ci.lost = true;  // surviving chunk unreadable: joins the lost set
-    }
+    lose_live_copy(ci);
     const std::uint64_t stripe = ci.stripe;  // replan may grow `chunks`
     replan_stripe(stripe, now);
   };
@@ -1065,12 +1071,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
             // never became durable. Recover the chunk again; waiters are
             // superseded by the replan, so nothing is delivered.
             ++metrics.fault.respared;
-            ++metrics.fault.extra_lost_chunks;
-            if (verify_on) {
-              verify_states.at(ci.stripe).erase(ci.cell);
-            }
-            ci.recovered = false;
-            ci.spare_disk = -1;
+            lose_live_copy(ci);
             const std::uint64_t stripe = ci.stripe;  // replan grows chunks
             replan_stripe(stripe, ev.t);
             break;
@@ -1103,13 +1104,8 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
           if (!ci.recovered || spare_disk(ci) != failed) {
             continue;
           }
-          ci.recovered = false;  // spare copy died with the disk
-          ci.spare_disk = -1;
-          ++metrics.fault.respared;
-          ++metrics.fault.extra_lost_chunks;
-          if (verify_on) {
-            verify_states.at(ci.stripe).erase(ci.cell);
-          }
+          ++metrics.fault.respared;  // spare copy died with the disk
+          lose_live_copy(ci);
           respare_stripes.insert(ci.stripe);
         }
         // Stripes touched only through dead spare copies (no data column
@@ -1132,11 +1128,7 @@ SimMetrics DorEngine::run(const std::vector<workload::StripeError>& errors,
               ci.priority = 1;
             }
             if (!ci.lost) {
-              ci.lost = true;  // original copy was homed on the dead disk
-              ++metrics.fault.extra_lost_chunks;
-              if (verify_on) {
-                verify_states.at(traced.stripe).erase(cell);
-              }
+              lose_live_copy(ci);  // original copy homed on the dead disk
             }
           }
           replan_stripe(traced.stripe, ev.t);

@@ -16,6 +16,89 @@ std::string SimMetrics::summary_line() const {
   return out;
 }
 
+namespace {
+
+using enum CounterGroup;
+
+// Address of the SimMetrics field `expr` names, as a counter's accessor.
+#define FIELD(expr) [](const SimMetrics& m) { return &m.expr; }
+
+// The registry sorts counters on export; this order only groups them.
+constexpr RunCounter kRunCounters[] = {
+    {"run.count", Always, nullptr},
+    {"run.cache_hits", Always, FIELD(cache.hits)},
+    {"run.cache_misses", Always, FIELD(cache.misses)},
+    {"run.cache_evictions", Always, FIELD(cache.evictions)},
+    {"run.total_chunk_requests", Always, FIELD(total_chunk_requests)},
+    {"run.disk_reads", Always, FIELD(disk_reads)},
+    {"run.planned_disk_reads", Always, FIELD(planned_disk_reads)},
+    {"run.disk_writes", Always, FIELD(disk_writes)},
+    {"run.chunks_recovered", Always, FIELD(chunks_recovered)},
+    {"run.stripes_recovered", Always, FIELD(stripes_recovered)},
+    {"run.schemes_generated", Always, FIELD(schemes_generated)},
+    {"run.scheme_cache_hits", Always, FIELD(scheme_cache_hits)},
+    {"run.app_requests", Always, FIELD(app_requests)},
+    {"run.app_degraded_reads", Always, FIELD(app_degraded_reads)},
+    {"run.app.served", App, FIELD(app_served)},
+    {"run.app.parked_drained", App, FIELD(app_parked_drained)},
+    {"run.app.degraded_writes", App, FIELD(app_degraded_writes)},
+    {"run.app.deadline_miss", App, FIELD(app_deadline_miss)},
+    {"run.app.fault.sector_errors", AppFault, FIELD(app_fault.sector_errors)},
+    {"run.app.fault.transient_failures", AppFault,
+     FIELD(app_fault.transient_failures)},
+    {"run.app.fault.retries", AppFault, FIELD(app_fault.retries)},
+    {"run.app.fault.dead_disk_reads", AppFault,
+     FIELD(app_fault.dead_disk_reads)},
+    {"run.app.fault.reconstructed_reads", AppFault,
+     FIELD(app_reconstructed_reads)},
+    // The spare_writes field is live on every run, its counter is not.
+    {"run.write.runs", Write, nullptr},
+    {"run.write.spare_writes", Write, FIELD(write.spare_writes)},
+    {"run.write.rmw_plans", Write, FIELD(write.rmw_plans)},
+    {"run.write.rcw_plans", Write, FIELD(write.rcw_plans)},
+    {"run.write.direct_plans", Write, FIELD(write.direct_plans)},
+    {"run.write.degraded_plans", Write, FIELD(write.degraded_plans)},
+    {"run.write.plan_disk_reads", Write, FIELD(write.plan_disk_reads)},
+    {"run.write.plan_cache_reads", Write, FIELD(write.plan_cache_reads)},
+    {"run.write.app_read_hits", Write, FIELD(write.app_read_hits)},
+    {"run.write.parity_updates", Write, FIELD(write.parity_updates)},
+    {"run.write.dirty_installed", Write, FIELD(write.dirty_installed)},
+    {"run.write.flushed", Write, FIELD(write.flushed)},
+    {"run.write.write_backs", Write, FIELD(write.write_backs)},
+    {"run.write.lost_dirty", Write, FIELD(write.lost_dirty)},
+    {"run.write.evicted_dirty", Write, FIELD(write.evicted_dirty)},
+    {"run.write.retained_dirty", Write, FIELD(write.retained_dirty)},
+    {"run.write.flush_ticks", Write, FIELD(write.flush_ticks)},
+    {"run.write.write_hits", Write, FIELD(write.write_hits)},
+    {"run.write.write_misses", Write, FIELD(write.write_misses)},
+    {"run.fault.runs", Fault, nullptr},
+    {"run.fault.sector_errors", Fault, FIELD(fault.sector_errors)},
+    {"run.fault.transient_failures", Fault, FIELD(fault.transient_failures)},
+    {"run.fault.retries", Fault, FIELD(fault.retries)},
+    {"run.fault.dead_disk_reads", Fault, FIELD(fault.dead_disk_reads)},
+    {"run.fault.replans", Fault, FIELD(fault.replans)},
+    {"run.fault.gauss_fallbacks", Fault, FIELD(fault.gauss_fallbacks)},
+    {"run.fault.disk_failures", Fault, FIELD(fault.disk_failures)},
+    {"run.fault.escalated_stripes", Fault, FIELD(fault.escalated_stripes)},
+    {"run.fault.extra_lost_chunks", Fault, FIELD(fault.extra_lost_chunks)},
+    {"run.fault.respared", Fault, FIELD(fault.respared)},
+    {"run.fault.straggler_disks", Fault, FIELD(fault.straggler_disks)},
+};
+
+#undef FIELD
+
+bool exported(CounterGroup group, const SimMetrics& m) {
+  const bool app = m.app_requests > 0;
+  return group == Always || (group == App && app) ||
+         (group == AppFault && app && m.app_fault.enabled) ||
+         (group == Write && m.write.enabled) ||
+         (group == Fault && m.fault.enabled);
+}
+
+}  // namespace
+
+std::span<const RunCounter> run_counters() { return kRunCounters; }
+
 void record_run(obs::RunObserver* obs, const std::string& label,
                 const SimMetrics& m, const obs::Histogram* response_hist) {
 #if !FBF_OBS_ENABLED
@@ -28,79 +111,10 @@ void record_run(obs::RunObserver* obs, const std::string& label,
     return;
   }
   auto& reg = obs->registry();
-  reg.add_counter("run.count", 1);
-  reg.add_counter("run.cache_hits", m.cache.hits);
-  reg.add_counter("run.cache_misses", m.cache.misses);
-  reg.add_counter("run.cache_evictions", m.cache.evictions);
-  reg.add_counter("run.total_chunk_requests", m.total_chunk_requests);
-  reg.add_counter("run.disk_reads", m.disk_reads);
-  reg.add_counter("run.planned_disk_reads", m.planned_disk_reads);
-  reg.add_counter("run.disk_writes", m.disk_writes);
-  reg.add_counter("run.chunks_recovered", m.chunks_recovered);
-  reg.add_counter("run.stripes_recovered", m.stripes_recovered);
-  reg.add_counter("run.schemes_generated", m.schemes_generated);
-  reg.add_counter("run.scheme_cache_hits", m.scheme_cache_hits);
-  reg.add_counter("run.app_requests", m.app_requests);
-  reg.add_counter("run.app_degraded_reads", m.app_degraded_reads);
-  if (m.app_requests > 0) {
-    // Only runs that carried foreground traffic export these: recovery-only
-    // metrics documents stay byte-identical to builds that predate the
-    // online-recovery layer.
-    reg.add_counter("run.app.served", m.app_served);
-    reg.add_counter("run.app.parked_drained", m.app_parked_drained);
-    reg.add_counter("run.app.degraded_writes", m.app_degraded_writes);
-    reg.add_counter("run.app.deadline_miss", m.app_deadline_miss);
-    if (m.app_fault.enabled) {
-      reg.add_counter("run.app.fault.sector_errors", m.app_fault.sector_errors);
-      reg.add_counter("run.app.fault.transient_failures",
-                      m.app_fault.transient_failures);
-      reg.add_counter("run.app.fault.retries", m.app_fault.retries);
-      reg.add_counter("run.app.fault.dead_disk_reads",
-                      m.app_fault.dead_disk_reads);
-      reg.add_counter("run.app.fault.reconstructed_reads",
-                      m.app_reconstructed_reads);
+  for (const RunCounter& c : kRunCounters) {
+    if (exported(c.group, m)) {
+      reg.add_counter(std::string(c.name), c.value(m));
     }
-  }
-  if (m.write.enabled) {
-    // Only runs with the write-back cache configured export these (incl.
-    // run.write.spare_writes, though the counter itself is live on every
-    // run): write-free metrics documents stay byte-identical to builds
-    // that predate the write path.
-    reg.add_counter("run.write.runs", 1);
-    reg.add_counter("run.write.spare_writes", m.write.spare_writes);
-    reg.add_counter("run.write.rmw_plans", m.write.rmw_plans);
-    reg.add_counter("run.write.rcw_plans", m.write.rcw_plans);
-    reg.add_counter("run.write.direct_plans", m.write.direct_plans);
-    reg.add_counter("run.write.degraded_plans", m.write.degraded_plans);
-    reg.add_counter("run.write.plan_disk_reads", m.write.plan_disk_reads);
-    reg.add_counter("run.write.plan_cache_reads", m.write.plan_cache_reads);
-    reg.add_counter("run.write.app_read_hits", m.write.app_read_hits);
-    reg.add_counter("run.write.parity_updates", m.write.parity_updates);
-    reg.add_counter("run.write.dirty_installed", m.write.dirty_installed);
-    reg.add_counter("run.write.flushed", m.write.flushed);
-    reg.add_counter("run.write.write_backs", m.write.write_backs);
-    reg.add_counter("run.write.lost_dirty", m.write.lost_dirty);
-    reg.add_counter("run.write.evicted_dirty", m.write.evicted_dirty);
-    reg.add_counter("run.write.retained_dirty", m.write.retained_dirty);
-    reg.add_counter("run.write.flush_ticks", m.write.flush_ticks);
-    reg.add_counter("run.write.write_hits", m.write.write_hits);
-    reg.add_counter("run.write.write_misses", m.write.write_misses);
-  }
-  if (m.fault.enabled) {
-    // Only fault-injected runs export these: the no-fault metrics document
-    // must stay byte-identical to builds that predate the fault layer.
-    reg.add_counter("run.fault.runs", 1);
-    reg.add_counter("run.fault.sector_errors", m.fault.sector_errors);
-    reg.add_counter("run.fault.transient_failures", m.fault.transient_failures);
-    reg.add_counter("run.fault.retries", m.fault.retries);
-    reg.add_counter("run.fault.dead_disk_reads", m.fault.dead_disk_reads);
-    reg.add_counter("run.fault.replans", m.fault.replans);
-    reg.add_counter("run.fault.gauss_fallbacks", m.fault.gauss_fallbacks);
-    reg.add_counter("run.fault.disk_failures", m.fault.disk_failures);
-    reg.add_counter("run.fault.escalated_stripes", m.fault.escalated_stripes);
-    reg.add_counter("run.fault.extra_lost_chunks", m.fault.extra_lost_chunks);
-    reg.add_counter("run.fault.respared", m.fault.respared);
-    reg.add_counter("run.fault.straggler_disks", m.fault.straggler_disks);
   }
 
   reg.set_gauge(label + ".hit_ratio", m.hit_ratio());

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "cache/policy.h"
@@ -19,9 +21,7 @@ namespace fbf::sim {
 /// — and `enabled` false — on the default no-fault path, where the export
 /// and the conservation laws reduce to their pre-fault forms.
 struct FaultStats {
-  /// True when the run executed with a non-empty fault plan. Gates the
-  /// `run.fault.*` export so fault-free metrics JSON is byte-identical to
-  /// builds that predate the fault layer.
+  /// True when the run executed with a non-empty fault plan.
   bool enabled = false;
 
   std::uint64_t sector_errors = 0;      ///< latent-sector-error read failures
@@ -34,12 +34,11 @@ struct FaultStats {
   std::uint64_t escalated_stripes = 0;  ///< stripes added by disk-failure escalation
   /// Chunk-loss events beyond the error trace: a surviving chunk lost to a
   /// URE or disk failure, or a spare copy lost with its disk. Each such
-  /// chunk is recovered (again), so
-  /// chunks_recovered == trace losses + extra_lost_chunks.
+  /// chunk is recovered (again).
   std::uint64_t extra_lost_chunks = 0;
   /// Spare copies invalidated because a later disk failure killed the disk
   /// holding them. Each is also counted in extra_lost_chunks (the chunk is
-  /// recovered again), so respared <= extra_lost_chunks.
+  /// recovered again).
   std::uint64_t respared = 0;
   std::uint64_t straggler_disks = 0;    ///< disks running with a service multiplier
 };
@@ -49,16 +48,12 @@ struct FaultStats {
 /// All zero — and `enabled` false — when the write path is off, where the
 /// export and the conservation laws reduce to their legacy forms.
 struct WritePathStats {
-  /// True when the run executed with a write-back cache configured. Gates
-  /// the `run.write.*` export so write-free metrics JSON is byte-identical
-  /// to builds that predate the write path.
+  /// True when the run executed with a write-back cache configured.
   bool enabled = false;
 
   /// Recovery spare-area writes. Counted on every engine regardless of
-  /// `enabled` (it is the legacy meaning of disk_writes) so the law
-  /// disk_writes == spare_writes + write_backs + parity_updates holds on
-  /// both the legacy and the write-back path, and
-  /// spare_writes == chunks_recovered always.
+  /// `enabled` (it is the legacy meaning of disk_writes), so the write laws
+  /// of sim/validate.h bind on the legacy and the write-back path alike.
   std::uint64_t spare_writes = 0;
 
   std::uint64_t rmw_plans = 0;      ///< writes served read-modify-write
@@ -72,9 +67,7 @@ struct WritePathStats {
   std::uint64_t app_read_hits = 0;     ///< app reads served from the cache
   std::uint64_t parity_updates = 0;    ///< parity chunks rewritten on disk
 
-  // Dirty-line life cycle. Conservation laws (validate.h):
-  //   dirty_installed == flushed + lost_dirty   (end of run)
-  //   flushed == write_backs
+  // Dirty-line life cycle (conservation laws: the sim/validate.h table).
   std::uint64_t dirty_installed = 0;  ///< clean->dirty transitions
   std::uint64_t flushed = 0;          ///< dirty lines drained for write-back
   std::uint64_t write_backs = 0;      ///< deferred target writes hitting disk
@@ -90,14 +83,13 @@ struct SimMetrics {
   // Metric 1: cache hit ratio during reconstruction.
   cache::CacheStats cache;
 
-  // Metric 2: total disk reads during recovery (== cache misses plus
-  // re-reads of recovered chunks from the spare area).
+  // Metric 2: total disk reads during recovery.
   std::uint64_t disk_reads = 0;
   std::uint64_t disk_writes = 0;
   /// Reads scheduled up front by the DOR streaming plan (each distinct
   /// surviving chunk once, LBA order). Zero under SOR, whose reads are
-  /// all demand misses; validate.h checks
-  /// disk_reads == planned_disk_reads + cache.misses on both engines.
+  /// all demand misses. The sim/validate.h table accounts for every disk
+  /// read on both engines.
   std::uint64_t planned_disk_reads = 0;
 
   // Metric 3: per-request response time (cache lookup -> data ready).
@@ -128,9 +120,7 @@ struct SimMetrics {
   /// damaged and not yet recovered: the read-modify-write cannot read its
   /// sources, so the write parks like a degraded read.
   std::uint64_t app_degraded_writes = 0;
-  /// Requests served directly at arrival (no parking). Conservation law:
-  /// app_requests == app_served + app_parked_drained, and
-  /// app_parked_drained == app_degraded_reads + app_degraded_writes.
+  /// Requests served directly at arrival (no parking).
   std::uint64_t app_served = 0;
   /// Parked requests released when their stripe's recovery completed.
   std::uint64_t app_parked_drained = 0;
@@ -182,6 +172,28 @@ struct SimMetrics {
 
   std::string summary_line() const;
 };
+
+/// Export gate of a `run.*` counter: a run exports a gated group only when it
+/// ran the layer behind it, so documents of runs without the layer stay
+/// byte-identical to builds that predate it.
+enum class CounterGroup : std::uint8_t { Always, App, AppFault, Write, Fault };
+
+/// One `run.*` counter and its SimMetrics field (null for the markers
+/// run.count, run.write.runs and run.fault.runs, which count 1 per run). The
+/// list of them maps exported names to fields for record_run and for the law
+/// table of sim/validate.h.
+struct RunCounter {
+  std::string_view name;
+  CounterGroup group;
+  const std::uint64_t* (*field)(const SimMetrics&);
+
+  std::uint64_t value(const SimMetrics& m) const {
+    return field == nullptr ? 1 : *field(m);
+  }
+};
+
+/// Every `run.*` counter record_run exports.
+std::span<const RunCounter> run_counters();
 
 /// Exports a finished run's metrics into the observer's registry: integer
 /// totals as `run.*` counters (summed across runs), derived ratios/latencies

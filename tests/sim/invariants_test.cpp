@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <span>
+#include <string>
+
 #include "codes/builders.h"
+#include "obs/observer.h"
 #include "sim/dor_engine.h"
 #include "sim/reconstruction.h"
 #include "util/check.h"
@@ -48,6 +55,34 @@ SimMetrics run_dor(const codes::Layout& l, const ArrayGeometry& g,
   cfg.seed = 11;
   DorEngine engine(l, g, cfg);
   return engine.run(errors);
+}
+
+// The loaded runs' app traffic: reads and rewrites arriving fast enough to
+// queue behind the rebuild.
+std::vector<workload::AppRequest> loaded_apps(const codes::Layout& l) {
+  workload::AppTraceConfig ac;
+  ac.num_stripes = 10000;
+  ac.num_requests = 300;
+  ac.read_fraction = 0.5;
+  ac.rewrite_fraction = 0.3;
+  ac.mean_interarrival_ms = 0.5;
+  return workload::generate_app_trace(l, ac);
+}
+
+// Every layer at once: UREs, stragglers, a mid-run disk failure, a recovery
+// throttle and the write path.
+EngineConfig loaded_config() {
+  EngineConfig c;
+  c.cache_bytes = 64 * 32 * 1024;
+  c.seed = 11;
+  c.faults.ure_rate = 0.01;
+  c.faults.stragglers = 2;
+  c.faults.straggler_factor = 3.0;
+  c.faults.disk_failure_times_ms = {150.0};
+  c.throttle.rebuild_reads_per_sec = 800.0;
+  c.write.cache_chunks = 32;
+  c.write.flush_interval_ms = 25.0;
+  return c;
 }
 
 TEST(Invariants, SorSatisfiesConservationLaws) {
@@ -128,6 +163,115 @@ TEST(Invariants, SorWithAppTrafficStillValidates) {
   EXPECT_NO_THROW(validate_run(m, errors));
 }
 
+// The law table's rows, by name. Each list below names the rows a run or
+// document binds, so deleting or renaming a row fails the tests that use it.
+const std::set<std::string> kTwinEqualities = {
+    "consumption", "disk_reads",  "spare_writes", "flush",
+    "disk_writes", "dirty_lines", "app_served",   "app_parked"};
+const std::set<std::string> kLoadedLaws = {
+    "consumption", "disk_reads", "spare_writes", "flush",
+    "disk_writes", "dirty_lines", "respared",    "app_served",
+    "app_parked",  "stripes",     "chunks"};
+const std::set<std::string> kPerDiskLaws = {"disk_busy", "disk_ops"};
+
+/// The law a check's CheckError names ("" when it passes).
+template <typename Check>
+std::string law_broken_by(Check&& check) {
+  try {
+    check();
+  } catch (const util::CheckError& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find("law \"");
+    if (at == std::string::npos) {
+      return what;
+    }
+    const std::size_t begin = at + 5;
+    return what.substr(begin, what.find('"', begin) - begin);
+  }
+  return "";
+}
+
+/// Breaks the SimMetrics term `term` names in `m`; false for the trace
+/// terms, which no SimMetrics field carries. The bump is large enough to
+/// overrun the slack a `<=` row may leave.
+bool bump(SimMetrics& m, std::string_view term) {
+  constexpr std::uint64_t kBump = 1u << 20;
+  const std::span<const RunCounter> counters = run_counters();
+  const auto c = std::ranges::find(counters, term, &RunCounter::name);
+  if (c != counters.end() && c->field != nullptr) {
+    *const_cast<std::uint64_t*>(c->field(m)) += kBump;
+    return true;
+  }
+  if (term == "disk.busy_past_makespan") {
+    m.disk_busy_ms.at(0) = m.reconstruction_ms + 1.0;
+    return true;
+  }
+  if (term == "disk.ops_total") {
+    m.disk_ops.at(0) += kBump;
+    return true;
+  }
+  return false;
+}
+
+/// Bumps, one at a time, every SimMetrics term of every row that binds on
+/// `good` and returns the laws validate_run reports.
+std::set<std::string> laws_fired_in_process(
+    const SimMetrics& good, const std::vector<workload::StripeError>& errors) {
+  std::set<std::string> fired;
+  for (const Law& law : laws()) {
+    if (law.gate == Gate::NoAppTraffic && good.app_requests > 0) {
+      continue;
+    }
+    for (const auto* side : {&law.lhs, &law.rhs}) {
+      for (std::string_view term : *side) {
+        SimMetrics m = good;
+        if (!bump(m, term)) {
+          continue;
+        }
+        const std::string name =
+            law_broken_by([&] { validate_run(m, errors); });
+        EXPECT_NE(name, "") << term << " bumped, yet validate_run passed";
+        fired.insert(name);
+      }
+    }
+  }
+  return fired;
+}
+
+/// The run.* counters record_run exports for `m`.
+std::map<std::string, std::uint64_t> document(const SimMetrics& m) {
+  obs::RunObserver observer;
+  record_run(&observer, "run", m, nullptr);
+  return observer.registry().counters_snapshot();
+}
+
+/// Bumps, one at a time, every exported term of every equality with a twin
+/// and returns the laws validate_counters reports.
+std::set<std::string> laws_fired_on_document(
+    const std::map<std::string, std::uint64_t>& good) {
+  std::set<std::string> fired;
+  for (const Law& law : laws()) {
+    if (!law.twin || law.relation != Relation::Equal) {
+      continue;
+    }
+    for (const auto* side : {&law.lhs, &law.rhs}) {
+      for (std::string_view term : *side) {
+        auto counters = good;
+        const auto it = counters.find(std::string(term));
+        if (it == counters.end()) {
+          continue;  // a gated group this run did not export
+        }
+        ++it->second;
+        const std::string name =
+            law_broken_by([&] { validate_counters(counters); });
+        EXPECT_NE(name, "") << term << " bumped, yet the document passed";
+        fired.insert(name);
+      }
+    }
+  }
+  return fired;
+}
+
 TEST(Invariants, ValidateRejectsCorruptedMetrics) {
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 5);
   const ArrayGeometry g(l, 10000);
@@ -158,6 +302,50 @@ TEST(Invariants, ValidateRejectsCorruptedMetrics) {
   m = good;
   m.chunks_recovered += 1;  // more rebuilt chunks than the trace lost
   EXPECT_THROW(validate_run(m, errors), util::CheckError);
+
+  // Every row fires, in process and on the exported document, on this
+  // recovery-only run and on a loaded one.
+  std::set<std::string> all = kLoadedLaws;
+  all.insert(kPerDiskLaws.begin(), kPerDiskLaws.end());
+  EXPECT_EQ(laws_fired_in_process(good, errors), all);
+  EXPECT_EQ(laws_fired_on_document(document(good)),
+            (std::set<std::string>{"consumption", "disk_reads", "disk_writes",
+                                   "app_served", "app_parked"}));
+
+  const codes::Layout tip7 = codes::make_layout(codes::CodeId::Tip, 7);
+  const ArrayGeometry wide(tip7, 10000, /*rotate_columns=*/true,
+                           SparePlacement::Distributed);
+  const auto loaded_errors = make_trace(tip7, 30);
+  const SimMetrics loaded = DorEngine(tip7, wide, DorConfig(loaded_config()))
+                                .run(loaded_errors, loaded_apps(tip7));
+  ASSERT_GT(loaded.fault.escalated_stripes, 0u);
+  ASSERT_GT(loaded.write.parity_updates, 0u);
+  ASSERT_NO_THROW(validate_run(loaded, loaded_errors));
+  EXPECT_EQ(laws_fired_in_process(loaded, loaded_errors), kLoadedLaws);
+  EXPECT_EQ(laws_fired_on_document(document(loaded)), kTwinEqualities);
+}
+
+TEST(Invariants, WriteGateAdmitsMixedDocuments) {
+  // run.write.* sums only the runs that exported it, so a document mixing
+  // write-path runs with runs without it must not hold
+  // run.write.spare_writes to run.chunks_recovered.
+  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
+  const ArrayGeometry g(l, 10000, /*rotate_columns=*/true,
+                        SparePlacement::Distributed);
+  const auto errors = make_trace(l, 30);
+  obs::RunObserver observer;
+  record_run(&observer, "write",
+             DorEngine(l, g, DorConfig(loaded_config()))
+                 .run(errors, loaded_apps(l)),
+             nullptr);
+  record_run(&observer, "recovery",
+             run_dor(l, g, errors, cache::PolicyId::Fbf, 64), nullptr);
+  const auto counters = observer.registry().counters_snapshot();
+  ASSERT_EQ(counters.at("run.count"), 2u);
+  ASSERT_EQ(counters.at("run.write.runs"), 1u);
+  ASSERT_LT(counters.at("run.write.spare_writes"),
+            counters.at("run.chunks_recovered"));
+  EXPECT_NO_THROW(validate_counters(counters));
 }
 
 TEST(Invariants, DorTerminatesWithBufferSmallerThanChain) {
@@ -237,43 +425,17 @@ TEST(Invariants, ProcessedEventsWereQueuedOrStreamed) {
   const ArrayGeometry g(l, 10000, /*rotate_columns=*/true,
                         SparePlacement::Distributed);
   const auto errors = make_trace(l, 30);
-  workload::AppTraceConfig ac;
-  ac.num_stripes = 10000;
-  ac.num_requests = 300;
-  ac.read_fraction = 0.5;
-  ac.rewrite_fraction = 0.3;
-  ac.mean_interarrival_ms = 0.5;
-  const auto apps = workload::generate_app_trace(l, ac);
-  FaultConfig faults;
-  faults.ure_rate = 0.01;
-  faults.stragglers = 2;
-  faults.straggler_factor = 3.0;
-  faults.disk_failure_times_ms = {150.0};
-  ThrottleConfig throttle;
-  throttle.rebuild_reads_per_sec = 800.0;
-  WritePathConfig write;
-  write.cache_chunks = 32;
-  write.flush_interval_ms = 25.0;
+  const auto apps = loaded_apps(l);
 
-  ReconstructionConfig sc;
+  ReconstructionConfig sc(loaded_config());
   sc.workers = 4;
-  sc.cache_bytes = 64 * 32 * 1024;
-  sc.seed = 11;
-  sc.faults = faults;
-  sc.throttle = throttle;
-  sc.write = write;
   const SimMetrics sor = ReconstructionEngine(l, g, sc).run(errors, apps);
   EXPECT_GT(sor.fault.escalated_stripes, 0u);
   EXPECT_GT(sor.write.flush_ticks, 0u);
   EXPECT_EQ(sor.engine_events, sor.event_queue_pushes);
 
-  DorConfig dc;
-  dc.cache_bytes = 64 * 32 * 1024;
-  dc.seed = 11;
-  dc.faults = faults;
-  dc.throttle = throttle;
-  dc.write = write;
-  const SimMetrics dor = DorEngine(l, g, dc).run(errors, apps);
+  const SimMetrics dor =
+      DorEngine(l, g, DorConfig(loaded_config())).run(errors, apps);
   EXPECT_GT(dor.fault.escalated_stripes, 0u);
   EXPECT_GT(dor.write.flush_ticks, 0u);
   EXPECT_EQ(dor.app_requests, apps.size());

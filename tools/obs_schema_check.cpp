@@ -3,19 +3,20 @@
 //   obs_schema_check <metrics.json> [--trace=<trace.json>]
 //                    [--compare=<other_metrics.json>]
 //
-// Checks the metrics document against the fbf.metrics.v1 schema, re-checks
-// the sim/validate.h conservation laws on the exported counters, verifies
-// every histogram's internal consistency, and optionally (a) validates a
-// Chrome trace-event file's required fields and (b) compares two metrics
-// files for byte-level determinism modulo the wall_clock block. Exits
-// nonzero with a message on the first violation — ci/tier1.sh runs this on
-// every build config.
+// Checks the metrics document against the fbf.metrics.v1 schema and the
+// sim/validate.h law table, verifies every histogram's internal consistency,
+// and optionally (a) validates a Chrome trace-event file's required fields
+// and (b) compares two metrics files for byte-level determinism modulo the
+// wall_clock block. The first violation prints one "obs_schema_check:
+// <message>" line and exits 1; ci/tier1.sh runs this on every build config.
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "obs/json.h"
+#include "sim/validate.h"
 #include "util/check.h"
 #include "util/flags.h"
 
@@ -39,23 +40,6 @@ const Value& field(const Value::Object& obj, const std::string& key,
   return it->second;
 }
 
-std::uint64_t counter(const Value::Object& counters, const std::string& key) {
-  const Value& v = field(counters, key, "counters");
-  FBF_CHECK(v.is_number(), "counter " + key + " is not a number");
-  return static_cast<std::uint64_t>(v.as_number());
-}
-
-// Fault counters are only exported by runs that enabled injection, so a
-// missing run.fault.* key reads as zero (the laws then reduce to their
-// fault-free shape).
-std::uint64_t counter_or_zero(const Value::Object& counters,
-                              const std::string& key) {
-  const auto it = counters.find(key);
-  if (it == counters.end()) return 0;
-  FBF_CHECK(it->second.is_number(), "counter " + key + " is not a number");
-  return static_cast<std::uint64_t>(it->second.as_number());
-}
-
 void check_metrics(const Value& doc) {
   FBF_CHECK(doc.is_object(), "metrics document is not a JSON object");
   const Value::Object& root = doc.as_object();
@@ -67,64 +51,17 @@ void check_metrics(const Value& doc) {
               std::string(key) + " is not an object");
   }
 
-  const Value::Object& counters =
-      field(root, "counters", "metrics document").as_object();
-  FBF_CHECK(counter(counters, "run.count") > 0,
-            "run.count must be positive — no runs were recorded");
-
-  // The sim/validate.h conservation laws must survive the export: summing
-  // per-run integers is lossless, so any drift here is an exporter bug.
-  const std::uint64_t hits = counter(counters, "run.cache_hits");
-  const std::uint64_t misses = counter(counters, "run.cache_misses");
-  FBF_CHECK(hits + misses == counter(counters, "run.total_chunk_requests"),
-            "cache hits + misses != total chunk requests");
-  FBF_CHECK(counter(counters, "run.disk_reads") ==
-                counter(counters, "run.planned_disk_reads") + misses +
-                    counter_or_zero(counters, "run.fault.retries"),
-            "disk reads != planned reads + cache misses + fault retries");
-  // Write-path laws. Every run — write path on or off — satisfies
-  // spare_writes == chunks_recovered, so the aggregate disk-write budget
-  // is checkable unconditionally through chunks_recovered. The exported
-  // run.write.spare_writes counter, however, only sums runs that enabled
-  // the write-back cache, so its strict equality is checkable only when
-  // every aggregated run did (run.write.runs == run.count); documents
-  // mixing legacy and write-path runs (the write-sweep benches) skip it.
-  const std::uint64_t disk_writes = counter(counters, "run.disk_writes");
-  const std::uint64_t chunks_recovered =
-      counter(counters, "run.chunks_recovered");
-  const std::uint64_t write_backs =
-      counter_or_zero(counters, "run.write.write_backs");
-  const std::uint64_t parity_updates =
-      counter_or_zero(counters, "run.write.parity_updates");
-  FBF_CHECK(disk_writes == chunks_recovered + write_backs + parity_updates,
-            "disk writes != spare writes + write-backs + parity updates");
-  if (counter_or_zero(counters, "run.write.runs") ==
-      counter(counters, "run.count")) {
-    FBF_CHECK(counter_or_zero(counters, "run.write.spare_writes") ==
-                  chunks_recovered,
-              "spare writes != chunks recovered");
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, v] :
+       field(root, "counters", "metrics document").as_object()) {
+    FBF_CHECK(v.is_number(), "counter " + name + " is not a number");
+    counters[name] = static_cast<std::uint64_t>(v.as_number());
   }
-  FBF_CHECK(counter_or_zero(counters, "run.write.dirty_installed") ==
-                counter_or_zero(counters, "run.write.flushed") +
-                    counter_or_zero(counters, "run.write.lost_dirty"),
-            "write dirty_installed != flushed + lost_dirty");
-  FBF_CHECK(counter_or_zero(counters, "run.write.flushed") == write_backs,
-            "write flushed != write-backs");
-  FBF_CHECK(counter_or_zero(counters, "run.fault.respared") <=
-                counter_or_zero(counters, "run.fault.extra_lost_chunks"),
-            "fault respared exceeds extra lost chunks");
-
-  // Online-recovery laws. The run.app.* family is only exported by runs
-  // that carried app traffic, so the missing-reads-as-zero rule makes
-  // recovery-only documents reduce to 0 == 0 here.
-  FBF_CHECK(counter(counters, "run.app_requests") ==
-                counter_or_zero(counters, "run.app.served") +
-                    counter_or_zero(counters, "run.app.parked_drained"),
-            "app requests != served + parked_drained");
-  FBF_CHECK(counter_or_zero(counters, "run.app.parked_drained") ==
-                counter(counters, "run.app_degraded_reads") +
-                    counter_or_zero(counters, "run.app.degraded_writes"),
-            "app parked_drained != degraded reads + degraded writes");
+  FBF_CHECK(counters["run.count"] > 0,
+            "run.count must be positive — no runs were recorded");
+  // Summing per-run integers is lossless, so a law the runs kept and the
+  // document breaks is an exporter bug.
+  fbf::sim::validate_counters(counters);
 
   const Value::Object& histograms =
       field(root, "histograms", "metrics document").as_object();
@@ -197,7 +134,7 @@ int main(int argc, char** argv) {
       check_compare(metrics, load(compare_path));
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "schema check FAILED: %s\n", e.what());
+    std::fprintf(stderr, "obs_schema_check: %s\n", e.what());
     return 1;
   }
   std::printf("schema check OK\n");
