@@ -32,14 +32,19 @@ std::vector<workload::StripeError> make_trace(const codes::Layout& l,
   return workload::generate_error_trace(l, cfg);
 }
 
+constexpr std::size_t kSorWorkers = 4;
+
 SimMetrics run_sor(const codes::Layout& l, const ArrayGeometry& g,
                    const std::vector<workload::StripeError>& errors,
-                   cache::PolicyId policy, std::size_t cache_chunks) {
+                   cache::PolicyId policy, std::size_t cache_chunks,
+                   recovery::SchemeKind scheme =
+                       recovery::SchemeKind::RoundRobin) {
   ReconstructionConfig cfg;
-  cfg.workers = 4;
+  cfg.workers = static_cast<int>(kSorWorkers);
   cfg.chunk_bytes = 32 * 1024;
   cfg.cache_bytes = cache_chunks * cfg.chunk_bytes;
   cfg.policy = policy;
+  cfg.scheme = scheme;
   cfg.seed = 11;
   ReconstructionEngine engine(l, g, cfg);
   return engine.run(errors);
@@ -47,11 +52,14 @@ SimMetrics run_sor(const codes::Layout& l, const ArrayGeometry& g,
 
 SimMetrics run_dor(const codes::Layout& l, const ArrayGeometry& g,
                    const std::vector<workload::StripeError>& errors,
-                   cache::PolicyId policy, std::size_t cache_chunks) {
+                   cache::PolicyId policy, std::size_t cache_chunks,
+                   recovery::SchemeKind scheme =
+                       recovery::SchemeKind::RoundRobin) {
   DorConfig cfg;
   cfg.chunk_bytes = 32 * 1024;
   cfg.cache_bytes = cache_chunks * cfg.chunk_bytes;
   cfg.policy = policy;
+  cfg.scheme = scheme;
   cfg.seed = 11;
   DorEngine engine(l, g, cfg);
   return engine.run(errors);
@@ -138,6 +146,61 @@ TEST(Invariants, HoldAcrossAllCodesAndSchemes) {
         DorEngine engine(l, g, cfg);
         const SimMetrics m = engine.run(errors);
         EXPECT_NO_THROW(validate_run(m, errors)) << l.name();
+      }
+    }
+  }
+}
+
+TEST(Invariants, FaultFreeEnginesAgree) {
+  // Without faults both schedules recover the same losses with the same
+  // memoized schemes, whatever order they read in, so each count they
+  // share must agree. DOR's planning is checked against SOR here, not
+  // against DOR's own goldens: DOR's hits count every chain-member
+  // reference once (a miss is re-read and consumed again), which is
+  // SOR's request count, and its planned reads, one per distinct
+  // surviving chunk of each stripe, are a floor under SOR's reads. When
+  // the cache evicts nothing, nothing is read twice, and the floor is
+  // every engine's read count.
+  for (codes::CodeId code : {codes::CodeId::Tip, codes::CodeId::Star,
+                             codes::CodeId::TripleStar, codes::CodeId::Hdd1}) {
+    for (int p : {5, 7}) {
+      const codes::Layout l = codes::make_layout(code, p);
+      const ArrayGeometry g(l, 10000);
+      workload::ErrorTraceConfig tc;
+      tc.num_stripes = 10000;
+      tc.num_errors = 60;
+      tc.target_col = -1;  // random columns: parity chunks are lost too
+      tc.seed = 5;
+      const auto errors = workload::generate_error_trace(l, tc);
+      // Room for every chunk of the trace in each SOR worker's share.
+      const std::size_t ample = kSorWorkers * errors.size() *
+                                static_cast<std::size_t>(l.num_cells());
+      for (recovery::SchemeKind scheme :
+           {recovery::SchemeKind::RoundRobin,
+            recovery::SchemeKind::HorizontalFirst}) {
+        for (cache::PolicyId policy :
+             {cache::PolicyId::Fbf, cache::PolicyId::Lru}) {
+          for (std::size_t chunks : {std::size_t{8}, ample}) {
+            SCOPED_TRACE(l.name() + " " + recovery::to_string(scheme) + " " +
+                         std::string(cache::to_string(policy)) + " " +
+                         std::to_string(chunks) + " chunks");
+            const SimMetrics sor =
+                run_sor(l, g, errors, policy, chunks, scheme);
+            const SimMetrics dor =
+                run_dor(l, g, errors, policy, chunks, scheme);
+            EXPECT_EQ(dor.chunks_recovered, sor.chunks_recovered);
+            EXPECT_EQ(dor.stripes_recovered, sor.stripes_recovered);
+            EXPECT_EQ(dor.disk_writes, sor.disk_writes);
+            EXPECT_EQ(dor.schemes_generated, sor.schemes_generated);
+            EXPECT_EQ(dor.scheme_cache_hits, sor.scheme_cache_hits);
+            EXPECT_EQ(dor.cache.hits, sor.total_chunk_requests);
+            EXPECT_GE(sor.disk_reads, dor.planned_disk_reads);
+            if (chunks == ample) {
+              EXPECT_EQ(sor.disk_reads, dor.planned_disk_reads);
+              EXPECT_EQ(dor.disk_reads, dor.planned_disk_reads);
+            }
+          }
+        }
       }
     }
   }
