@@ -10,8 +10,9 @@
 // consumed them, forcing re-reads. The same FBF priority dictionary
 // governs which chunks survive. A chain consumes its freshly delivered
 // member before re-checking the rest, so every wake-up makes progress
-// even when the buffer is smaller than the chain (see attempt_completion
-// in dor_engine.cpp); the buffer must hold at least one chunk.
+// even when the buffer is smaller than the chain (see
+// DorRun::attempt_completion in dor_engine.cpp); the buffer must hold at
+// least one chunk.
 //
 // Accounting: disk_reads = planned reads + re-reads; cache hits/misses
 // count chain *consumptions* (a consumption hit = the chunk was still
@@ -60,10 +61,12 @@ class DorEngine {
   /// counts as repaired — releasing its parked requests — when the last of
   /// its traced losses has a persisted spare copy.
   ///
-  /// The loop (DESIGN §14): pending events wait in a sorted window that
-  /// lets the loop prefetch several pops ahead, dense chunk ids replace a
-  /// hash map, completions touch the cache in one batch, and installs
-  /// batch between cache reads.
+  /// Each call builds a per-run DorRun (dor_engine.cpp) and drops it at
+  /// the end, so every run of one engine starts from the same state, as
+  /// SOR's SorRun does. Its loop (DESIGN §14): pending events wait in a
+  /// sorted window that lets the loop prefetch several pops ahead, dense
+  /// chunk ids replace a hash map, completions touch the cache in one
+  /// batch, and installs batch between cache reads.
   SimMetrics run(const std::vector<workload::StripeError>& errors,
                  const std::vector<workload::AppRequest>& app_trace = {});
 
