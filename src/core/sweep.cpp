@@ -55,55 +55,15 @@ std::vector<std::size_t> small_cache_sizes() {
           2048ull << 20};
 }
 
-namespace {
-
-std::uint64_t point_key(std::size_t cache_bytes, cache::PolicyId policy) {
-  // Cache sizes are whole bytes well below 2^56; the policy id rides in the
-  // low byte.
-  return (static_cast<std::uint64_t>(cache_bytes) << 8) |
-         static_cast<std::uint64_t>(policy);
-}
-
-}  // namespace
-
 const SweepPoint& find_point(const std::vector<SweepPoint>& points,
                              std::size_t cache_bytes,
                              cache::PolicyId policy) {
-  // run_sweep emits size-major groups with the caller's (ascending) size
-  // axis, so a partition search lands on the one group to scan. The fallback
-  // keeps caller-assembled vectors in any order working.
-  const auto group = std::lower_bound(
-      points.begin(), points.end(), cache_bytes,
-      [](const SweepPoint& p, std::size_t bytes) {
-        return p.cache_bytes < bytes;
-      });
-  for (auto it = group; it != points.end() && it->cache_bytes == cache_bytes;
-       ++it) {
-    if (it->policy == policy) {
-      return *it;
-    }
-  }
   const auto it = std::find_if(
       points.begin(), points.end(), [&](const SweepPoint& p) {
         return p.cache_bytes == cache_bytes && p.policy == policy;
       });
   FBF_CHECK(it != points.end(), "sweep point not found");
   return *it;
-}
-
-SweepIndex::SweepIndex(const std::vector<SweepPoint>& points)
-    : points_(&points) {
-  by_key_.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    by_key_.emplace(point_key(points[i].cache_bytes, points[i].policy), i);
-  }
-}
-
-const SweepPoint& SweepIndex::at(std::size_t cache_bytes,
-                                 cache::PolicyId policy) const {
-  const auto it = by_key_.find(point_key(cache_bytes, policy));
-  FBF_CHECK(it != by_key_.end(), "sweep point not found");
-  return (*points_)[it->second];
 }
 
 double max_improvement(const std::vector<SweepPoint>& points,
@@ -113,11 +73,11 @@ double max_improvement(const std::vector<SweepPoint>& points,
                            metric,
                        bool higher_is_better, double min_base) {
   FBF_CHECK(min_base >= 0.0, "max_improvement min_base must be non-negative");
-  const SweepIndex index(points);
   double best = 0.0;
   for (std::size_t size : cache_sizes) {
-    const double fbf = metric(index.at(size, cache::PolicyId::Fbf).result);
-    const double base = metric(index.at(size, baseline).result);
+    const double fbf =
+        metric(find_point(points, size, cache::PolicyId::Fbf).result);
+    const double base = metric(find_point(points, size, baseline).result);
     // min_base >= 0 is checked above, so this single test also rejects
     // zero and negative baselines.
     if (base <= min_base) {

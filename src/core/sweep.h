@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/experiment.h"
@@ -33,28 +32,11 @@ std::vector<std::size_t> default_cache_sizes();
 /// Coarser axis for quick runs.
 std::vector<std::size_t> small_cache_sizes();
 
-/// Selects the grid point for (cache size, policy); aborts if absent.
-/// run_sweep's size-major output is searched by partition point + a scan of
-/// the single matching size group (O(log points + policies)); arbitrary
-/// orderings fall back to a full scan.
+/// Selects the first grid point for (cache size, policy); aborts if
+/// absent. A linear scan: a figure's grid holds at most a few dozen points.
 const SweepPoint& find_point(const std::vector<SweepPoint>& points,
                              std::size_t cache_bytes,
                              cache::PolicyId policy);
-
-/// Hash index over a sweep's grid for repeated (size, policy) lookups —
-/// O(1) per query after one O(points) build. The indexed vector must
-/// outlive the index and not reallocate.
-class SweepIndex {
- public:
-  explicit SweepIndex(const std::vector<SweepPoint>& points);
-
-  /// Aborts if the grid point is absent.
-  const SweepPoint& at(std::size_t cache_bytes, cache::PolicyId policy) const;
-
- private:
-  const std::vector<SweepPoint>* points_;
-  std::unordered_map<std::uint64_t, std::size_t> by_key_;
-};
 
 /// Maximum relative improvement of FBF over `baseline` across cache sizes:
 /// for "higher is better" metrics (hit ratio) returns max(fbf/base - 1);
