@@ -35,8 +35,16 @@
 # Once, in the default config, a suite smoke runs the repository
 # benchmark's pinned checks (benchsuite/run.py --smoke): every workload at
 # 1/50 size must reproduce its pinned metrics digest.
+#
+# The script refuses to run with FBF_UPDATE_GOLDEN set: the golden tests
+# would then rewrite every file in tests/golden/ and skip, so all three
+# configs would pass while overwriting the outputs they exist to pin.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+if [ -n "${FBF_UPDATE_GOLDEN+set}" ]; then
+  echo "tier1: FBF_UPDATE_GOLDEN is set; unset it to check tests/golden/" >&2
+  exit 1
+fi
 export FBF_VALIDATE=1
 
 bench_smoke() {
