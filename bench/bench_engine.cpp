@@ -3,7 +3,7 @@
 // wall-clock second and popped events per wall-clock second. This is the
 // harness behind BENCH_engine.json — it deliberately bypasses the
 // experiment layer and times ReconstructionEngine/DorEngine::run()
-// directly, so queue sharding, scheme memoization, and batched XOR
+// directly, so the event queues, scheme memoization, and batched XOR
 // dispatch show up undiluted by trace generation or report printing.
 //
 // Flags:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -906,17 +905,15 @@ class DorRun {
     }
   }
 
-  bool pending() const {
-    return !queue_.empty() || next_arrival_ < arrivals_.size();
-  }
+  bool pending() const { return !queue_.empty() || !arrivals_.empty(); }
 
   Event pop_next() {
-    if (next_arrival_ < arrivals_.size()) {
-      const std::uint32_t i = arrivals_[next_arrival_];
-      const Event arrival{(*app_trace_)[i].arrival_ms, arrival_seq0_ + i,
-                          Event::Kind::AppArrival, 0, i};
+    if (!arrivals_.empty()) {
+      const EventKey& head = arrivals_.head();
+      const Event arrival{head.t, head.seq, Event::Kind::AppArrival, 0,
+                          static_cast<std::uint32_t>(arrivals_.index())};
       if (queue_.empty() || queue_.ahead(0) > arrival) {
-        ++next_arrival_;
+        arrivals_.pop();
         return arrival;
       }
     }
@@ -1001,11 +998,8 @@ class DorRun {
   bool task_ranges_built_ = false;
   EventWindow<Event> queue_;
   std::uint64_t seq_ = 0;
-  /// App arrivals in (arrival_ms, index) order, streamed by pop_next;
-  /// arrival i carries seq arrival_seq0_ + i.
-  std::vector<std::uint32_t> arrivals_;
-  std::uint64_t arrival_seq0_ = 0;
-  std::size_t next_arrival_ = 0;
+  /// App arrivals, streamed in beside the window by pop_next.
+  PresetStream arrivals_;
   /// The install batch (flush_installs) and the touch scratch
   /// (attempt_completion).
   std::vector<cache::Key> pend_install_keys_;
@@ -1057,23 +1051,13 @@ __attribute__((hot)) SimMetrics DorRun::execute() {
     queue_.push(Event{f.at_ms, seq_++, Event::Kind::DiskFail,
                       static_cast<std::uint32_t>(f.disk), 0});
   }
-  // App arrivals stream in beside the window instead of through it: a
-  // trace of tens of thousands of arrivals would otherwise sit in the
-  // window for most of the run, and every push would have to scan past
-  // the ones due before it. Arrival i keeps the seq a push here would
-  // give it, and the stream yields arrivals in (arrival_ms, i) order,
-  // which is their (t, seq) order; so taking the earlier of the stream's
-  // head and the window's at each pop (pop_next) is a pop from one queue
-  // holding both.
-  const std::vector<workload::AppRequest>& app_trace = *app_trace_;
-  arrivals_.resize(app_trace.size());
-  std::iota(arrivals_.begin(), arrivals_.end(), 0u);
-  std::stable_sort(arrivals_.begin(), arrivals_.end(),
-                   [&app_trace](std::uint32_t a, std::uint32_t b) {
-                     return app_trace[a].arrival_ms < app_trace[b].arrival_ms;
-                   });
-  arrival_seq0_ = seq_;
-  seq_ += app_trace.size();
+  // App arrivals stream in beside the window instead of through it
+  // (PresetStream): a trace of tens of thousands of arrivals would
+  // otherwise sit in the window for most of the run, and every push would
+  // have to scan past the ones due before it.
+  arrivals_ = PresetStream(*app_trace_, &workload::AppRequest::arrival_ms,
+                           seq_);
+  seq_ += app_trace_->size();
   if (ctx_.flush_ticks_on) {
     queue_.push(Event{config_.write.flush_interval_ms, seq_++,
                       Event::Kind::FlushTick, 0, 0});

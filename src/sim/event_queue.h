@@ -3,14 +3,15 @@
 // unique), so *any* correct min-queue pops the exact same global event
 // sequence, and each engine picks the layout that suits its pending set.
 //
-// ShardedEventQueue (SOR): per-shard binary min-heaps merged by an N-way
-// tournament tree over the shard heads. SOR holds at most one pending
-// event per worker, spread over many timestamps, so most shards are
-// one-element heaps whose push/pop is O(1) and the only log factor is the
-// tournament replay over shard heads — empty shards cost nothing. A bulk
-// shard absorbs the event classes without a per-entity invariant (app
-// arrivals, disk failures). With one shard the queue is a plain binary
-// heap.
+// TournamentTree (SOR): a winner tree with one leaf per source, each leaf
+// holding at most one pending key. SOR's pending set is one ready time per
+// worker, so a worker's step is one leaf-to-root replay: pop it, advance
+// it, re-arm its leaf.
+//
+// PresetStream (both engines): events fixed before the run starts (app
+// arrivals, disk failures) sorted once and streamed beside the queue; the
+// engine takes the earlier of the stream's head and the queue's at each
+// pop.
 //
 // EventWindow (DOR): one vector kept sorted in pop order. DOR's pending
 // set is small (one read per disk plus in-flight spare writes) and nearly
@@ -18,145 +19,140 @@
 // lockstep; an insertion scan from the tail then costs one compare, and
 // the sorted layout lets the engine look several pops ahead.
 //
-// The unit tests hold both queues to the pop order of a reference
-// std::priority_queue.
+// The unit tests hold the tree and the window to the pop order of a
+// reference std::priority_queue.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <utility>
+#include <limits>
 #include <vector>
 
 #include "util/check.h"
 
 namespace fbf::sim {
 
-/// Min-queue over `Event`s with `operator>` defining a strict total order
-/// (ties broken by a unique sequence number). Not thread-safe.
-template <typename Event>
-class ShardedEventQueue {
+/// An event's place in the pop order: its time, then its unique sequence
+/// number. kNoEvent, the key of an empty slot, follows every real key.
+struct EventKey {
+  double t;
+  std::uint64_t seq;
+};
+
+inline constexpr EventKey kNoEvent{std::numeric_limits<double>::infinity(),
+                                   std::numeric_limits<std::uint64_t>::max()};
+
+/// a pops before b. Bitwise, not short-circuit: both fields are compared
+/// on every call, with no branch between them.
+inline bool earlier(const EventKey& a, const EventKey& b) {
+  return (a.t < b.t) | ((a.t == b.t) & (a.seq < b.seq));
+}
+
+/// Winner tree over a fixed set of sources, each holding at most one
+/// pending key. Leaf i holds source i's key (kNoEvent when it has none);
+/// each internal node holds the earlier of its children's winners, key and
+/// source together, so a replay reads one sibling node per level and
+/// follows no index. Any update to a leaf (arm, re-key, clear) replays its
+/// root path in ceil(log2 sources) compares. Not thread-safe.
+class TournamentTree {
  public:
-  explicit ShardedEventQueue(std::size_t shards) {
-    FBF_CHECK(shards >= 1, "event queue needs at least one shard");
-    heaps_.resize(shards);
-    reserved_.assign(shards, 0);
-    leaves_ = 1;
-    while (leaves_ < shards) {
+  struct Entry {
+    EventKey key;
+    std::uint32_t source;
+  };
+
+  explicit TournamentTree(std::size_t sources) : sources_(sources) {
+    FBF_CHECK(sources >= 1, "tournament tree needs at least one source");
+    while (leaves_ < sources) {
       leaves_ <<= 1;
     }
-    tree_.assign(2 * leaves_, kEmpty);
-    heads_.resize(leaves_);
+    // Padding leaves past `sources` hold kNoEvent for good, so they never
+    // beat an armed leaf.
+    nodes_.assign(2 * leaves_, Entry{kNoEvent, 0});
   }
 
-  std::size_t num_shards() const { return heaps_.size(); }
+  /// The earliest armed key and its source; key kNoEvent when none is.
+  const Entry& top() const { return nodes_[1]; }
+  bool empty() const { return nodes_[1].key.seq == kNoEvent.seq; }
 
-  /// Grows shard `shard`'s reservation by `n` events. Additive so callers
-  /// can account independent event classes separately.
-  void reserve(std::size_t shard, std::size_t n) {
-    const std::size_t s = checked(shard);
-    reserved_[s] += n;
-    heaps_[s].reserve(reserved_[s]);
+  bool armed(std::size_t source) const {
+    return nodes_[leaves_ + checked(source)].key.seq != kNoEvent.seq;
   }
 
-  void push(std::size_t shard, const Event& ev) {
-    const std::size_t s = checked(shard);
-    auto& h = heaps_[s];
-    ++pushes_;
-    if (h.size() == h.capacity()) {
-      ++regrowths_;  // reservation breached: vector growth (amortized)
-    }
-    // The tournament only sees shard heads: a push that does not displace
-    // the head leaves every tree node valid, so the replay is skipped.
-    const bool displaces_head = h.empty() || h.front() > ev;
-    h.push_back(ev);
-    std::push_heap(h.begin(), h.end(), std::greater<Event>{});
-    ++size_;
-    if (displaces_head) {
-      replay(s);
-    }
-  }
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  /// Pops the globally earliest event (the tournament winner's head).
-  Event pop() {
-    FBF_CHECK(size_ > 0, "pop from empty event queue");
-    const std::uint32_t s = tree_[1];
-    auto& h = heaps_[s];
-    std::pop_heap(h.begin(), h.end(), std::greater<Event>{});
-    Event ev = std::move(h.back());
-    h.pop_back();
-    --size_;
-    replay(s);
-    return ev;
-  }
-
-  /// Pushes past a shard's reservation observed so far (each one a vector
-  /// regrowth). Zero on runs whose per-shard bounds are exact.
-  std::uint64_t regrowths() const { return regrowths_; }
-
-  /// Events pushed so far. Each one costs a heap push and, later, a pop.
-  std::uint64_t pushes() const { return pushes_; }
+  /// Sets `source`'s key, whether or not it held one.
+  void arm(std::size_t source, EventKey key) { replay(checked(source), key); }
+  void clear(std::size_t source) { replay(checked(source), kNoEvent); }
 
  private:
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-
-  std::size_t checked(std::size_t shard) const {
-    FBF_CHECK(shard < heaps_.size(), "event shard out of range");
-    return shard;
+  std::size_t checked(std::size_t source) const {
+    FBF_CHECK(source < sources_, "tournament source out of range");
+    return source;
   }
 
-  /// a precedes b in the total order (exactly one of a>b / b>a holds for
-  /// distinct events, and two shard heads are always distinct). Compares
-  /// the contiguous head cache, not the scattered heap vectors: with one
-  /// pending event per worker/reader shard the heaps are all single
-  /// elements and the replay compares dominate, so keeping the heads in
-  /// one array is what makes the tournament cache-resident.
-  bool earlier(std::uint32_t a, std::uint32_t b) const {
-    return heads_[b] > heads_[a];
-  }
-
-  /// Re-seeds shard `s`'s leaf (refreshing its cached head) and replays
-  /// its root path: O(log shards) head comparisons.
-  void replay(std::size_t s) {
-    std::size_t node = leaves_ + s;
-    if (heaps_[s].empty()) {
-      tree_[node] = kEmpty;
-    } else {
-      tree_[node] = static_cast<std::uint32_t>(s);
-      heads_[s] = heaps_[s].front();
-    }
-    while (node > 1) {
-      node >>= 1;
-      const std::uint32_t l = tree_[2 * node];
-      const std::uint32_t r = tree_[2 * node + 1];
-      if (l == kEmpty) {
-        tree_[node] = r;
-      } else if (r == kEmpty) {
-        tree_[node] = l;
-      } else {
-        tree_[node] = earlier(l, r) ? l : r;
-      }
+  void replay(std::size_t source, EventKey key) {
+    std::size_t node = leaves_ + source;
+    Entry winner{key, static_cast<std::uint32_t>(source)};
+    nodes_[node] = winner;
+    for (; node > 1; node >>= 1) {
+      const Entry& sibling = nodes_[node ^ 1];
+      winner = earlier(sibling.key, winner.key) ? sibling : winner;
+      nodes_[node >> 1] = winner;
     }
   }
 
-  std::vector<std::vector<Event>> heaps_;
-  /// heads_[s] mirrors heaps_[s].front() whenever shard s is non-empty
-  /// (leaf == kEmpty otherwise); contiguous so tournament compares never
-  /// chase heap-vector pointers.
-  std::vector<Event> heads_;
-  std::vector<std::size_t> reserved_;
-  /// Winner tree: leaves_ is the shard count rounded up to a power of two;
-  /// leaf i sits at index leaves_+i, the overall winner at index 1 (index
-  /// 0 unused). Nodes hold winning shard ids, kEmpty for empty subtrees.
+  std::size_t sources_;
+  /// sources_ rounded up to a power of two; leaf i sits at index
+  /// leaves_ + i and the overall winner at index 1 (index 0 unused).
   std::size_t leaves_ = 1;
-  std::vector<std::uint32_t> tree_;
-  std::size_t size_ = 0;
-  std::uint64_t regrowths_ = 0;
-  std::uint64_t pushes_ = 0;
+  std::vector<Entry> nodes_;
+};
+
+/// Events fixed before the run starts, streamed in pop order beside an
+/// engine's queue instead of pushed into it. Item i, due at items[i].*time,
+/// carries seq seq0 + i, the seq a push at the stream's creation would
+/// give it; the stream yields items in (time, i) order, which is their
+/// (t, seq) order, so taking the earlier of its head and the queue's at
+/// each pop is a pop from one queue holding both.
+class PresetStream {
+ public:
+  PresetStream() : keys_{kNoEvent} {}
+
+  template <typename Range, typename Item>
+  PresetStream(const Range& items, double Item::*time, std::uint64_t seq0)
+      : seq0_(seq0) {
+    keys_.reserve(items.size() + 1);
+    std::uint64_t seq = seq0;
+    for (const Item& item : items) {
+      keys_.push_back(EventKey{item.*time, seq++});
+    }
+    std::sort(keys_.begin(), keys_.end(),
+              [](const EventKey& a, const EventKey& b) {
+                return earlier(a, b);
+              });
+    keys_.push_back(kNoEvent);  // the head once every item has popped
+  }
+
+  bool empty() const { return head_ + 1 == keys_.size(); }
+
+  /// The next item's key; kNoEvent once the stream is drained.
+  const EventKey& head() const { return keys_[head_]; }
+
+  /// The next item's position in `items`.
+  std::size_t index() const {
+    FBF_CHECK(!empty(), "index of a drained preset stream");
+    return static_cast<std::size_t>(keys_[head_].seq - seq0_);
+  }
+
+  void pop() {
+    FBF_CHECK(!empty(), "pop from a drained preset stream");
+    ++head_;
+  }
+
+ private:
+  std::vector<EventKey> keys_;  ///< sorted items, then kNoEvent
+  std::size_t head_ = 0;
+  std::uint64_t seq0_ = 0;
 };
 
 /// Min-queue over `Event`s (`operator>` a strict total order, as above)

@@ -151,10 +151,9 @@ struct SimMetrics {
   // implementations. bench_engine reads these directly, the fault tests
   // assert event_queue_regrowths == 0 to pin the reservation bounds, and
   // pin replan_records_scanned to grow linearly with the trace. Every
-  // processed event went through the event queue, except DOR's app
-  // arrivals, which stream in beside it: engine_events ==
-  // event_queue_pushes for SOR and event_queue_pushes + app_requests for
-  // DOR.
+  // processed event went through the event queue, except the app
+  // arrivals, which both engines stream in beside it: engine_events ==
+  // event_queue_pushes + app_requests.
   std::uint64_t engine_events = 0;  ///< events processed by the run loop
   std::uint64_t event_queue_pushes = 0;     ///< queue pushes (each one popped)
   std::uint64_t event_queue_regrowths = 0;  ///< pushes past the reservation

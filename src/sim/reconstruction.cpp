@@ -4,7 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -47,9 +46,6 @@ struct Worker {
   /// due at this worker's next event time, keeping disk submissions in
   /// simulated-time order.
   bool completion_pending = false;
-  /// True while an event for this worker sits in the run's queue — lets a
-  /// disk-failure escalation wake a retired worker exactly once.
-  bool event_pending = false;
   /// Fault path: the current pass is an escalation entry (its outstanding
   /// losses count as extra_lost_chunks, not trace losses).
   bool escalation = false;
@@ -119,7 +115,7 @@ struct Worker {
 };
 
 /// One SOR run: the shared RunContext plus SOR's schedule, a worker per
-/// stripe share over a sharded event queue.
+/// stripe share, each with one leaf of the run's tournament tree.
 class SorRun {
  public:
   SorRun(const codes::Layout& layout, const ArrayGeometry& geometry,
@@ -596,146 +592,123 @@ __attribute__((hot)) SimMetrics SorRun::execute() {
     }
   }
 
-  // Event core over worker ready-times and app-request arrivals.
-  struct Event {
-    double t;
-    int worker;       // >= 0: worker id; < 0: app request ~(worker)
-    std::uint64_t seq;  // tie-break for determinism
-    bool operator>(const Event& other) const {
-      return t > other.t || (t == other.t && seq > other.seq);
-    }
-  };
-  // Disk-failure events use ids at the bottom of the int range, below the
-  // ~i encoding of any realistic app trace; the periodic flush tick takes
-  // the next id above them.
-  constexpr int kFailBase = std::numeric_limits<int>::min();
-  const int num_disk_failures = static_cast<int>(failures.size());
-  const bool flush_ticks_on = ctx_.flush_ticks_on;
-  const int kFlushId = kFailBase + num_disk_failures;
-  FBF_CHECK(app_trace.size() <=
-                static_cast<std::size_t>(std::numeric_limits<int>::max()) -
-                    static_cast<std::size_t>(num_disk_failures) - 1,
-            "app trace too large to coexist with disk-failure events");
-  // Workers fold onto 16 shards (event_pending caps each worker at a
-  // single entry, so a shard holds at most ceil(workers/16) events) plus
-  // a bulk shard for app arrivals and disk failures. Sixteen keeps the
-  // tournament shallow and the shard mask a single AND while the
-  // per-shard heaps stay small enough that a future-dated push rarely
-  // displaces a head — the shard partition is order-irrelevant
-  // (event_queue.h), so this is purely a constant-factor dial. The
-  // reserves are exact upper bounds, so a regrowth count of zero is an
-  // invariant the tests pin, not a tuning accident.
-  constexpr std::size_t kWorkerShardMask = 15;  // 16 shards: a mask, not a div
-  constexpr std::size_t kBulkShard = kWorkerShardMask + 1;
-  ShardedEventQueue<Event> queue(kBulkShard + 1);
-  for (std::size_t s = 0; s < workers.size(); ++s) {
-    queue.reserve(s & kWorkerShardMask, 1);
-  }
-  // One extra bulk slot for the flush tick: at most one is in flight (each
-  // tick pops before arming the next).
-  queue.reserve(kBulkShard, app_trace.size() +
-                                static_cast<std::size_t>(num_disk_failures) +
-                                (flush_ticks_on ? 1 : 0));
-  const auto push_event = [&queue](Event ev) {
-    queue.push(ev.worker >= 0
-                   ? static_cast<std::size_t>(ev.worker) & kWorkerShardMask
-                   : kBulkShard,
-               ev);
-  };
+  // Event core (DESIGN §12). A worker has at most one pending event, its
+  // next ready time, held in its leaf of a tournament tree. App arrivals
+  // and disk failures are known before the run, so each streams in beside
+  // the tree in (t, seq) order (event_queue.h), and the flush tick is a
+  // single key; each pop takes the earliest of the four. Seqs run as one
+  // queue would number them: the workers' first events, the arrivals, the
+  // failures, the first flush tick, then one per arm.
+  TournamentTree ready(workers.size());
   std::uint64_t seq = 0;
   for (Worker& w : workers) {
     if (!w.assigned.empty()) {
-      push_event(Event{0.0, w.id, seq++});
-      w.event_pending = true;
+      ready.arm(static_cast<std::size_t>(w.id), EventKey{0.0, seq++});
     }
   }
-  for (std::size_t i = 0; i < app_trace.size(); ++i) {
-    push_event(Event{app_trace[i].arrival_ms, ~static_cast<int>(i), seq++});
-  }
-  for (int k = 0; k < num_disk_failures; ++k) {
-    push_event(Event{failures[static_cast<std::size_t>(k)].at_ms,
-                     kFailBase + k, seq++});
-  }
-  if (flush_ticks_on) {
-    push_event(Event{config_.write.flush_interval_ms, kFlushId, seq++});
+  PresetStream arrivals(app_trace, &workload::AppRequest::arrival_ms, seq);
+  seq += app_trace.size();
+  PresetStream failures_due(failures, &DiskFailure::at_ms, seq);
+  seq += failures.size();
+  const double flush_interval_ms = config_.write.flush_interval_ms;
+  EventKey flush = kNoEvent;
+  if (ctx_.flush_ticks_on) {
+    flush = EventKey{flush_interval_ms, seq++};
   }
 
   SimMetrics& metrics = ctx_.metrics;
   double makespan = 0.0;
   double last_event_ms = 0.0;
-  while (!queue.empty()) {
-    const Event ev = queue.pop();
+  for (;;) {
+    enum class Source { Worker, Arrival, Failure, Flush };
+    Source source = Source::Worker;
+    EventKey ev = ready.top().key;
+    if (earlier(arrivals.head(), ev)) {
+      source = Source::Arrival;
+      ev = arrivals.head();
+    }
+    if (earlier(failures_due.head(), ev)) {
+      source = Source::Failure;
+      ev = failures_due.head();
+    }
+    if (earlier(flush, ev)) {
+      source = Source::Flush;
+      ev = flush;
+    }
+    if (ev.seq == kNoEvent.seq) {
+      break;  // every source is drained
+    }
     ++metrics.engine_events;
     last_event_ms = std::max(last_event_ms, ev.t);
-    if (ev.worker == kFlushId && flush_ticks_on) {
+    if (source == Source::Worker) {
+      const std::size_t id = ready.top().source;
+      const auto next = advance(workers[id], ev.t);
+      if (next.has_value()) {
+        ready.arm(id, EventKey{*next, seq++});
+      } else {
+        ready.clear(id);
+        makespan = std::max(makespan, ev.t);
+      }
+      continue;
+    }
+    if (source == Source::Arrival) {
+      const std::size_t index = arrivals.index();
+      arrivals.pop();
+      ctx_.foreground.on_arrival(index, ev.t);
+      continue;
+    }
+    if (source == Source::Flush) {
       ctx_.foreground.on_flush_tick(ev.t);
       // Re-arm while other events remain; a tick never keeps itself alive.
-      if (!queue.empty()) {
-        push_event(
-            Event{ev.t + config_.write.flush_interval_ms, kFlushId, seq++});
-      }
+      flush = !ready.empty() || !arrivals.empty() || !failures_due.empty()
+                  ? EventKey{ev.t + flush_interval_ms, seq++}
+                  : kNoEvent;
       continue;
     }
-    if (ev.worker < kFailBase + num_disk_failures) {
-      // Whole-disk failure: every traced stripe gains the failed disk's
-      // column as fresh losses, processed as a synthetic error by the
-      // stripe's owning worker after its earlier passes.
-      const DiskFailure& failure =
-          failures[static_cast<std::size_t>(ev.worker - kFailBase)];
-      ctx_.disk_failed(failure.disk, ev.t);
-      // Spare copies living on the failed disk die with it. Queue each for
-      // deterministic re-recovery by its stripe's escalation pass instead
-      // of waiting for a later read to trip on the dead disk (DESIGN.md
-      // §11's former gap). The entries stay in spared_on_ so in-flight
-      // reads keep routing to the honest dead-disk timeout path.
-      const auto cells_per_stripe =
-          static_cast<std::uint64_t>(layout_->num_cells());
-      for (const auto& [key, spare_disk] : spared_on_) {
-        if (spare_disk != failure.disk) {
-          continue;
-        }
-        respare_pending_[key / cells_per_stripe].push_back(
-            layout_->cell_at(static_cast<int>(key % cells_per_stripe)));
-        ++metrics.fault.respared;
+    // Whole-disk failure: every traced stripe gains the failed disk's
+    // column as fresh losses, processed as a synthetic error by the
+    // stripe's owning worker after its earlier passes.
+    const DiskFailure& failure = failures[failures_due.index()];
+    failures_due.pop();
+    ctx_.disk_failed(failure.disk, ev.t);
+    // Spare copies living on the failed disk die with it. Queue each for
+    // deterministic re-recovery by its stripe's escalation pass instead
+    // of waiting for a later read to trip on the dead disk (DESIGN.md
+    // §11's former gap). The entries stay in spared_on_ so in-flight
+    // reads keep routing to the honest dead-disk timeout path.
+    const auto cells_per_stripe =
+        static_cast<std::uint64_t>(layout_->num_cells());
+    for (const auto& [key, spare_disk] : spared_on_) {
+      if (spare_disk != failure.disk) {
+        continue;
       }
-      for (const workload::StripeError& traced : errors) {
-        const int col = ctx_.column_on(traced.stripe, failure.disk);
-        const bool pending = respare_pending_.count(traced.stripe) > 0;
-        if (col < 0 && !pending) {
-          continue;  // the failed disk holds nothing of this stripe
-        }
-        // Stripes touched only through dead spare copies (no data column
-        // on the failed disk — possible once the pool is wider than a
-        // stripe) get an empty synthetic error: the escalation pass then
-        // recovers exactly the queued cells.
-        escalation_storage_.push_back(workload::StripeError{
-            traced.stripe,
-            col >= 0 ? recovery::PartialStripeError{col, 0, layout_->rows()}
-                     : recovery::PartialStripeError{0, 0, 0},
-            ev.t});
-        const workload::StripeError* esc = &escalation_storage_.back();
-        escalation_errors_.insert(esc);
-        Worker& owner = workers[stripe_owner.at(traced.stripe)];
-        owner.assigned.push_back(esc);
-        ++metrics.fault.escalated_stripes;
-        if (!owner.event_pending) {
-          push_event(Event{ev.t, owner.id, seq++});
-          owner.event_pending = true;
-        }
+      respare_pending_[key / cells_per_stripe].push_back(
+          layout_->cell_at(static_cast<int>(key % cells_per_stripe)));
+      ++metrics.fault.respared;
+    }
+    for (const workload::StripeError& traced : errors) {
+      const int col = ctx_.column_on(traced.stripe, failure.disk);
+      const bool pending = respare_pending_.count(traced.stripe) > 0;
+      if (col < 0 && !pending) {
+        continue;  // the failed disk holds nothing of this stripe
       }
-      continue;
-    }
-    if (ev.worker < 0) {
-      ctx_.foreground.on_arrival(static_cast<std::size_t>(~ev.worker), ev.t);
-      continue;
-    }
-    Worker& w = workers[static_cast<std::size_t>(ev.worker)];
-    const auto next = advance(w, ev.t);
-    if (next.has_value()) {
-      push_event(Event{*next, w.id, seq++});
-    } else {
-      w.event_pending = false;
-      makespan = std::max(makespan, ev.t);
+      // Stripes touched only through dead spare copies (no data column
+      // on the failed disk — possible once the pool is wider than a
+      // stripe) get an empty synthetic error: the escalation pass then
+      // recovers exactly the queued cells.
+      escalation_storage_.push_back(workload::StripeError{
+          traced.stripe,
+          col >= 0 ? recovery::PartialStripeError{col, 0, layout_->rows()}
+                   : recovery::PartialStripeError{0, 0, 0},
+          ev.t});
+      const workload::StripeError* esc = &escalation_storage_.back();
+      escalation_errors_.insert(esc);
+      const std::size_t owner = stripe_owner.at(traced.stripe);
+      workers[owner].assigned.push_back(esc);
+      ++metrics.fault.escalated_stripes;
+      if (!ready.armed(owner)) {
+        ready.arm(owner, EventKey{ev.t, seq++});
+      }
     }
   }
 
@@ -752,7 +725,9 @@ __attribute__((hot)) SimMetrics SorRun::execute() {
   FBF_CHECK(metrics.cache.misses + metrics.fault.retries ==
                 metrics.disk_reads,
             "every cache miss must hit a disk exactly once, plus retries");
-  return ctx_.finish(queue.regrowths(), queue.pushes(), last_event_ms);
+  // Every event took one seq; all but the app arrivals were queued. The
+  // tree and the streams are sized up front, so none ever regrows.
+  return ctx_.finish(0, seq - app_trace.size(), last_event_ms);
 }
 
 }  // namespace

@@ -213,11 +213,14 @@ TEST_P(FaultReplay, BeyondBudgetAbortsWithStructuredDiagnostic) {
 }
 
 TEST(FaultEventQueue, ReservationsHoldUnderFaultLoad) {
-  // Both engines' event queues reserve for the fault path up front (disk
+  // DOR's event window reserves for the fault path up front (disk
   // failures, escalation targets, a replan slab); a regrowth under this
   // URE + transient + straggler + disk-failure load means a bound is
-  // wrong. Direct engine runs, because the regrowth counter is engine
-  // instrumentation that the experiment layer deliberately never exports.
+  // wrong. SOR's tournament tree has one fixed leaf per worker and its
+  // preset streams are sized at the start, so it reserves nothing and
+  // must report no regrowth under the same load. Direct engine runs,
+  // because the regrowth counter is engine instrumentation that the
+  // experiment layer deliberately never exports.
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
   const ArrayGeometry g(l, 50000, true, SparePlacement::Distributed);
   workload::ErrorTraceConfig tc;

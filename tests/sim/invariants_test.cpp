@@ -481,9 +481,9 @@ TEST(Invariants, SorDiskReadsMonotoneUnderShrinkingCache) {
 
 TEST(Invariants, ProcessedEventsWereQueuedOrStreamed) {
   // Each event a run loop processes went through the event queue (one push,
-  // one pop), except DOR's app arrivals, which stream in beside its event
-  // window. Checked on runs with faults, app traffic, a throttle and the
-  // write path.
+  // one pop), except the app arrivals, which both engines stream in beside
+  // it. Checked on runs with faults, app traffic, a throttle and the write
+  // path.
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
   const ArrayGeometry g(l, 10000, /*rotate_columns=*/true,
                         SparePlacement::Distributed);
@@ -495,7 +495,8 @@ TEST(Invariants, ProcessedEventsWereQueuedOrStreamed) {
   const SimMetrics sor = ReconstructionEngine(l, g, sc).run(errors, apps);
   EXPECT_GT(sor.fault.escalated_stripes, 0u);
   EXPECT_GT(sor.write.flush_ticks, 0u);
-  EXPECT_EQ(sor.engine_events, sor.event_queue_pushes);
+  EXPECT_EQ(sor.app_requests, apps.size());
+  EXPECT_EQ(sor.engine_events, sor.event_queue_pushes + sor.app_requests);
 
   const SimMetrics dor =
       DorEngine(l, g, DorConfig(loaded_config())).run(errors, apps);

@@ -39,18 +39,6 @@ TEST(ReconstructionConfigTest, PerWorkerCapacity) {
   EXPECT_EQ(c.per_worker_capacity(), 0u);
 }
 
-TEST(Reconstruction, EventQueueReservationsAreExact) {
-  // SOR's shard bounds (one pending event per worker, app arrivals plus
-  // disk failures in the bulk shard) are structural invariants: a single
-  // regrowth means a reservation was wrong, not that the run was big.
-  const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
-  const ArrayGeometry g(l, 10000);
-  ReconstructionEngine engine(l, g, small_config());
-  const SimMetrics m = engine.run(make_trace(l, 40));
-  EXPECT_GT(m.engine_events, 0u);
-  EXPECT_EQ(m.event_queue_regrowths, 0u);
-}
-
 TEST(Reconstruction, RecoversEveryStripeAndChunk) {
   const codes::Layout l = codes::make_layout(codes::CodeId::Tip, 7);
   const ArrayGeometry g(l, 10000);
